@@ -108,10 +108,6 @@ bool try_parse_args(int argc, char** argv, BenchArgs& args,
       args.cache_info = true;
     } else if (flag == "--list") {
       args.list = true;
-    } else if (flag == "--micro") {
-      args.micro = true;
-    } else if (flag == "--macro") {
-      args.macro = true;
     } else if (flag == "--csv") {
       args.csv = true;
     } else {

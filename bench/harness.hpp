@@ -37,9 +37,8 @@ TrialSummary run_trials(const ExperimentConfig& config, unsigned trials,
 /// Parses "--flag value" style overrides shared by the benches:
 /// --trials N, --seconds S, --senders N, --seed X, --jobs N, --out FILE,
 /// --csv, plus the retri_bench-only --sweep NAME, --selector NAME, --list,
-/// and --micro. Unknown flags
-/// and malformed numeric values are fatal (typos must not silently run the
-/// default experiment).
+/// --via SOCKET and --cache-info. Unknown flags and malformed numeric
+/// values are fatal (typos must not silently run the default experiment).
 struct BenchArgs {
   unsigned trials = 10;
   double seconds = 30.0;
@@ -54,8 +53,6 @@ struct BenchArgs {
   /// the sweep's base selector and its selector axis.
   std::string selector;
   bool list = false;      // retri_bench: list available sweeps
-  bool micro = false;     // retri_bench: run the hot-path micro suite
-  bool macro = false;     // retri_bench: run the mixed-workload macro suite
   /// retri_bench: fetch the sweep through a retri_serve daemon at this
   /// Unix-socket path instead of simulating locally. Results (and the
   /// default --out artifact) are bit-identical to a local run.

@@ -12,19 +12,6 @@
 // via runner::ResultSink. Per-trial results — and the JSON file itself —
 // are bit-identical for any --jobs value.
 //
-//   retri_bench --micro [--out BENCH_micro.json]
-//
-// runs the allocation-free hot-path micro suite instead (see micro.hpp);
-// its artifact is what scripts/bench_compare.py gates against the
-// committed bench/BENCH_micro.json baseline.
-//
-//   retri_bench --macro [--out BENCH_macro.json]
-//
-// runs the mixed-workload event-throughput macro benchmark (see
-// macro.hpp): dense 64-node star, RF collisions, half-duplex, churn, and
-// fault injection, reported as events/sec and gated (with a machine-noise
-// tolerance on the time metrics) against bench/BENCH_macro.json.
-//
 //   retri_bench --sweep fig4 --via /tmp/retri.sock [--cache-info]
 //
 // fetches the sweep through a retri_serve daemon instead of simulating
@@ -33,14 +20,11 @@
 // artifact are byte-identical to a local run; --cache-info opts into the
 // schema v4 provenance members (per-trial cache hit/key, served_by).
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
 
 #include "harness.hpp"
-#include "macro.hpp"
-#include "micro.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/sweep.hpp"
 #include "serve/cache.hpp"
@@ -72,83 +56,19 @@ int list_selectors(std::FILE* stream) {
   return 0;
 }
 
-int run_micro(const retri::bench::BenchArgs& args) {
-  const auto results = retri::bench::run_micro_suite();
-
-  Table table({"benchmark", "ops", "ns/op", "allocs/op"});
-  for (const retri::bench::MicroResult& r : results) {
-    table.row({r.name, std::to_string(r.ops), fmt(r.ns_per_op),
-               r.allocs_per_op < 0 ? std::string("n/a") : fmt(r.allocs_per_op)});
-  }
-  if (args.csv) table.print_csv(std::cout);
-  else table.print(std::cout);
-
-  if (!args.out.empty()) {
-    // Same contract as export_result: a zero exit with the artifact
-    // silently missing would poison the bench_compare.py pipeline.
-    std::ofstream file(args.out, std::ios::binary | std::ios::trunc);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s for writing\n", args.out.c_str());
-      return 2;
-    }
-    file << retri::bench::micro_to_json(results) << '\n';
-    if (!file.flush()) {
-      std::fprintf(stderr, "failed writing %s\n", args.out.c_str());
-      return 2;
-    }
-    std::printf("\nwrote %s (micro schema v%d, %zu benchmarks)\n",
-                args.out.c_str(), retri::bench::kMicroSchemaVersion,
-                results.size());
-  }
-  return 0;
-}
-
-int run_macro(const retri::bench::BenchArgs& args) {
-  const auto results = retri::bench::run_macro_suite();
-
-  Table table({"benchmark", "events", "ns/op", "events/sec", "allocs/op"});
-  for (const retri::bench::MacroResult& r : results) {
-    table.row({r.name, std::to_string(r.ops), fmt(r.ns_per_op),
-               fmt(r.events_per_sec),
-               r.allocs_per_op < 0 ? std::string("n/a") : fmt(r.allocs_per_op)});
-  }
-  if (args.csv) table.print_csv(std::cout);
-  else table.print(std::cout);
-
-  if (!args.out.empty()) {
-    std::ofstream file(args.out, std::ios::binary | std::ios::trunc);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s for writing\n", args.out.c_str());
-      return 2;
-    }
-    file << retri::bench::macro_to_json(results) << '\n';
-    if (!file.flush()) {
-      std::fprintf(stderr, "failed writing %s\n", args.out.c_str());
-      return 2;
-    }
-    std::printf("\nwrote %s (macro schema v%d, %zu benchmarks)\n",
-                args.out.c_str(), retri::bench::kMacroSchemaVersion,
-                results.size());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto args = retri::bench::parse_args(argc, argv);
   if (args.list) return list_sweeps(stdout);
   if (args.selector == "help") return list_selectors(stdout);
-  if (args.micro) return run_micro(args);
-  if (args.macro) return run_macro(args);
   if (args.sweep.empty()) {
     std::fprintf(stderr,
                  "usage: retri_bench --sweep NAME [--jobs N] [--out FILE]\n"
                  "                   [--trials N] [--seconds S] [--senders N]\n"
                  "                   [--seed X] [--selector NAME|help]\n"
                  "                   [--csv] [--via SOCKET\n"
-                 "                   [--cache-info]] | --list | --micro |\n"
-                 "                   --macro\n\n");
+                 "                   [--cache-info]] | --list\n\n");
     list_sweeps(stderr);
     return 2;
   }

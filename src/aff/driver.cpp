@@ -215,10 +215,7 @@ void AffDriver::note_transaction_begin(core::TransactionId id) {
   push_density_to_selector();
 }
 
-void AffDriver::maybe_notify_collision(std::uint64_t key) {
-  const std::uint64_t conflicts = reassembler_.stats().conflicting_writes;
-  if (conflicts == prev_conflicting_writes_) return;
-  prev_conflicting_writes_ = conflicts;
+void AffDriver::notify_collision(std::uint64_t key) {
   if (!config_.send_collision_notifications) return;
   counters_.notifications_sent.inc();
   radio_.send(encode_notify(config_.wire,
@@ -229,9 +226,10 @@ void AffDriver::handle_intro(const IntroFragment& intro,
                              std::optional<std::uint64_t> true_id) {
   const std::uint64_t key = intro.id.value();
   if (!reassembler_.pending(key)) note_transaction_begin(intro.id);
-  reassembler_.on_intro(key, intro.total_len, intro.checksum,
-                        radio_.simulator().now());
-  maybe_notify_collision(key);
+  if (reassembler_.on_intro(key, intro.total_len, intro.checksum,
+                            radio_.simulator().now())) {
+    notify_collision(key);
+  }
   if (config_.wire.instrumented && true_id) {
     truth_reassembler_.on_intro(*true_id, intro.total_len, intro.checksum,
                                 radio_.simulator().now());
@@ -244,8 +242,10 @@ void AffDriver::handle_data(const DataFragment& data,
   const std::uint64_t key = data.id.value();
   // Only introductions begin transactions: a data fragment without a live
   // introduced entry is an orphan the reassembler drops.
-  reassembler_.on_data(key, data.offset, data.payload, radio_.simulator().now());
-  maybe_notify_collision(key);
+  if (reassembler_.on_data(key, data.offset, data.payload,
+                           radio_.simulator().now())) {
+    notify_collision(key);
+  }
   if (config_.wire.instrumented && true_id) {
     truth_reassembler_.on_data(*true_id, data.offset, data.payload,
                                radio_.simulator().now());

@@ -72,10 +72,6 @@ struct AffDriverStatsSnapshot {
   std::uint64_t undecodable_frames = 0;
 };
 
-/// Deprecated spelling, kept as a thin alias for one PR while callers
-/// migrate to the snapshot name.
-using AffDriverStats = AffDriverStatsSnapshot;
-
 class AffDriver {
  public:
   using PacketHandler = std::function<void(const util::Bytes& packet)>;
@@ -127,7 +123,9 @@ class AffDriver {
   void handle_data(const DataFragment& data,
                    std::optional<std::uint64_t> true_id);
   void note_transaction_begin(core::TransactionId id);
-  void maybe_notify_collision(std::uint64_t key);
+  /// Broadcasts a CollisionNotify for `key` when notifications are on;
+  /// called for every fragment the reassembler reports as conflicting.
+  void notify_collision(std::uint64_t key);
   /// Arms the reassembly-expiry timer if entries are pending and no timer
   /// is armed. The timer re-arms itself only while entries remain, so an
   /// idle driver schedules nothing and Simulator::run() terminates.
@@ -163,7 +161,6 @@ class AffDriver {
   std::unique_ptr<core::DensityModel> density_;
   std::uint64_t node_uid_;
   std::uint64_t next_packet_seq_ = 0;
-  std::uint64_t prev_conflicting_writes_ = 0;
   PacketHandler on_packet_;
   PacketHandler on_truth_packet_;
   Counters counters_;

@@ -119,7 +119,7 @@ void Reassembler::close(std::uint64_t key, CloseReason reason,
   if (closed_) closed_(key);
 }
 
-void Reassembler::write_bytes(Entry& entry, std::size_t offset,
+bool Reassembler::write_bytes(Entry& entry, std::size_t offset,
                               util::BytesView payload) {
   const std::size_t extent = offset + payload.size();
   if (entry.bytes.size() < extent) {
@@ -141,6 +141,7 @@ void Reassembler::write_bytes(Entry& entry, std::size_t offset,
   }
   if (conflicted) counters_.conflicting_writes.inc();
   else if (all_duplicate) counters_.duplicate_fragments.inc();
+  return conflicted;
 }
 
 void Reassembler::maybe_complete(std::uint64_t key, Entry& entry,
@@ -158,18 +159,20 @@ void Reassembler::maybe_complete(std::uint64_t key, Entry& entry,
         now);
 }
 
-void Reassembler::on_intro(std::uint64_t key, std::uint16_t total_len,
+bool Reassembler::on_intro(std::uint64_t key, std::uint16_t total_len,
                            std::uint32_t checksum, sim::TimePoint now) {
   counters_.fragments_seen.inc();
   if (total_len == 0) {
     counters_.malformed.inc();
-    return;
+    return false;
   }
   counters_.accepted_fragments.inc();
   Entry& entry = touch(key, now);
   fragment_instant("frag_intro", entry, now, 0);
-  if (entry.have_intro &&
-      (entry.total_len != total_len || entry.checksum != checksum)) {
+  const bool conflicted =
+      entry.have_intro &&
+      (entry.total_len != total_len || entry.checksum != checksum);
+  if (conflicted) {
     // A second, different introduction under the same key. Either an
     // identifier collision between two *concurrent* packets, or ordinary
     // sequential reuse of the identifier (a new transaction). The driver
@@ -187,26 +190,28 @@ void Reassembler::on_intro(std::uint64_t key, std::uint16_t total_len,
   entry.total_len = total_len;
   entry.checksum = checksum;
   maybe_complete(key, entry, now);
+  return conflicted;
 }
 
-void Reassembler::on_data(std::uint64_t key, std::uint16_t offset,
+bool Reassembler::on_data(std::uint64_t key, std::uint16_t offset,
                           util::BytesView payload, sim::TimePoint now) {
   counters_.fragments_seen.inc();
   if (payload.empty() ||
       static_cast<std::size_t>(offset) + payload.size() > 0x10000) {
     counters_.malformed.inc();
-    return;
+    return false;
   }
   const auto it = entries_.find(key);
   if (it == entries_.end() || !it->second.have_intro) {
     counters_.orphan_fragments.inc();
-    return;
+    return false;
   }
   counters_.accepted_fragments.inc();
   Entry& entry = touch(key, now);
   fragment_instant("frag_data", entry, now, payload.size());
-  write_bytes(entry, offset, payload);
+  const bool conflicted = write_bytes(entry, offset, payload);
   maybe_complete(key, entry, now);
+  return conflicted;
 }
 
 void Reassembler::expire(sim::TimePoint now) {

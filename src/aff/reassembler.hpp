@@ -77,10 +77,6 @@ struct ReassemblerStatsSnapshot {
   std::uint64_t fragments_seen = 0;
 };
 
-/// Deprecated spelling, kept as a thin alias for one PR while callers
-/// migrate to the snapshot name.
-using ReassemblerStats = ReassemblerStatsSnapshot;
-
 class Reassembler {
  public:
   /// Invoked with the verified packet when reassembly completes.
@@ -104,8 +100,11 @@ class Reassembler {
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
   void set_closed(ClosedFn fn) { closed_ = std::move(fn); }
 
-  /// Processes an introduction fragment for `key`.
-  void on_intro(std::uint64_t key, std::uint16_t total_len,
+  /// Processes an introduction fragment for `key`. Returns true when it
+  /// conflicted with the entry's earlier introduction (a different length
+  /// or checksum under the same key) — the protocol-level collision signal
+  /// the driver's notifications key off, independent of any metric.
+  bool on_intro(std::uint64_t key, std::uint16_t total_len,
                 std::uint32_t checksum, sim::TimePoint now);
 
   /// Processes a data fragment for `key`. Reassembly is introduction-
@@ -114,7 +113,9 @@ class Reassembler {
   /// an orphan — without the introduction's length and checksum the packet
   /// could never be delivered, and buffering unattributed bytes would let
   /// a dead packet's tail poison the next packet that reuses the id.
-  void on_data(std::uint64_t key, std::uint16_t offset, util::BytesView payload,
+  /// Returns true when the fragment rewrote an already-received byte with
+  /// different content (a conflicting write).
+  bool on_data(std::uint64_t key, std::uint16_t offset, util::BytesView payload,
                sim::TimePoint now);
 
   /// Discards entries idle past the timeout. The driver calls this
@@ -163,7 +164,9 @@ class Reassembler {
   /// entry's span with the reason as outcome, and notifies closed_.
   void close(std::uint64_t key, CloseReason reason, sim::TimePoint now);
   void maybe_complete(std::uint64_t key, Entry& entry, sim::TimePoint now);
-  void write_bytes(Entry& entry, std::size_t offset, util::BytesView payload);
+  /// Writes `payload` at `offset`; true when it overwrote a received byte
+  /// with different content.
+  bool write_bytes(Entry& entry, std::size_t offset, util::BytesView payload);
   void fragment_instant(const char* name, const Entry& entry,
                         sim::TimePoint now, std::size_t bytes);
 

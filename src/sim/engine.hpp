@@ -44,7 +44,7 @@ namespace retri::sim {
 /// simulation core schedules — BroadcastMedium's delivery closure (~56
 /// bytes: medium pointer, node ids, reception slot, SharedBytes, two
 /// timestamps) — with headroom; tests assert representative captures stay
-/// inline (test_engine.cpp, test_alloc_hook.cpp).
+/// inline (test_engine.cpp, test_alloc_hot_path.cpp).
 class EventFn {
  public:
   static constexpr std::size_t kInlineBytes = 64;

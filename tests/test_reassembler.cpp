@@ -105,9 +105,10 @@ TEST_F(ReassemblerTest, CollidingWritesDetected) {
   // Two different packets under one key — the identifier-collision symptom.
   const util::Bytes a = util::random_payload(40, 6);
   const util::Bytes b = util::random_payload(40, 7);
-  reasm.on_intro(11, 40, util::crc32(a), at_ms(0));
-  reasm.on_data(11, 0, util::BytesView(a.data(), 20), at_ms(0));
-  reasm.on_data(11, 0, util::BytesView(b.data(), 20), at_ms(1));  // conflict
+  // The return value is the conflict signal collision notifications use.
+  EXPECT_FALSE(reasm.on_intro(11, 40, util::crc32(a), at_ms(0)));
+  EXPECT_FALSE(reasm.on_data(11, 0, util::BytesView(a.data(), 20), at_ms(0)));
+  EXPECT_TRUE(reasm.on_data(11, 0, util::BytesView(b.data(), 20), at_ms(1)));
   EXPECT_GE(reasm.stats().conflicting_writes, 1u);
   // Interleaved halves of two different packets cannot checksum.
   reasm.on_data(11, 20, util::BytesView(a.data() + 20, 20), at_ms(2));
@@ -117,8 +118,8 @@ TEST_F(ReassemblerTest, CollidingWritesDetected) {
 TEST_F(ReassemblerTest, ConflictingIntroDetected) {
   const util::Bytes a = util::random_payload(40, 8);
   const util::Bytes b = util::random_payload(60, 9);
-  reasm.on_intro(13, 40, util::crc32(a), at_ms(0));
-  reasm.on_intro(13, 60, util::crc32(b), at_ms(1));
+  EXPECT_FALSE(reasm.on_intro(13, 40, util::crc32(a), at_ms(0)));
+  EXPECT_TRUE(reasm.on_intro(13, 60, util::crc32(b), at_ms(1)));
   EXPECT_EQ(reasm.stats().conflicting_writes, 1u);
 }
 
@@ -142,8 +143,8 @@ TEST_F(ReassemblerTest, NewIntroUnderReusedKeyRestartsCleanly) {
 
 TEST_F(ReassemblerTest, IdenticalReIntroIsNotAConflict) {
   const util::Bytes a = util::random_payload(40, 10);
-  reasm.on_intro(17, 40, util::crc32(a), at_ms(0));
-  reasm.on_intro(17, 40, util::crc32(a), at_ms(1));
+  EXPECT_FALSE(reasm.on_intro(17, 40, util::crc32(a), at_ms(0)));
+  EXPECT_FALSE(reasm.on_intro(17, 40, util::crc32(a), at_ms(1)));
   EXPECT_EQ(reasm.stats().conflicting_writes, 0u);
 }
 
@@ -242,7 +243,7 @@ TEST_F(ReassemblerTest, AcceptedFragmentsPartitionLaw) {
   reasm.on_data(3, 0, util::Bytes{1, 2}, at_ms(2)); // orphan (no intro)
   reasm.on_data(4, 0, {}, at_ms(3));                // malformed (empty)
 
-  const ReassemblerStats& stats = reasm.stats();
+  const ReassemblerStatsSnapshot& stats = reasm.stats();
   EXPECT_EQ(stats.fragments_seen, 6u);
   EXPECT_EQ(stats.accepted_fragments, 3u);
   EXPECT_EQ(stats.malformed, 2u);
