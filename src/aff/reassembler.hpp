@@ -11,14 +11,17 @@
 // receiver keys by the AFF identifier; the instrumented ground-truth pass
 // (§5.1) keys a second Reassembler by the guaranteed-unique packet id. The
 // algorithm is identical either way, which is exactly the paper's point.
+//
+// Storage is a bounded table like a sensor node's (DESIGN.md §5e): a slab
+// of recycled entry slots, an intrusive LRU list threaded through them and
+// an open-addressing key index, so a warmed-up table never allocates.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -79,7 +82,10 @@ struct ReassemblerStatsSnapshot {
 
 class Reassembler {
  public:
-  /// Invoked with the verified packet when reassembly completes.
+  /// Invoked with the verified packet when reassembly completes. The
+  /// packet lives in a buffer the reassembler reuses for every delivery:
+  /// the reference is valid only until the callback returns, so a consumer
+  /// that keeps the bytes must copy them.
   using DeliverFn = std::function<void(std::uint64_t key, const util::Bytes&)>;
   /// Invoked whenever an entry closes for any reason (delivered, checksum
   /// failure, timeout, eviction). Drives transaction-density bookkeeping.
@@ -123,24 +129,36 @@ class Reassembler {
   void expire(sim::TimePoint now);
 
   /// True if a packet under `key` is currently being reassembled.
-  bool pending(std::uint64_t key) const { return entries_.contains(key); }
-  std::size_t pending_count() const noexcept { return entries_.size(); }
+  bool pending(std::uint64_t key) const noexcept { return find(key) != kNil; }
+  std::size_t pending_count() const noexcept { return live_; }
   /// Snapshot of the tallies, BY VALUE (see ReassemblerStatsSnapshot).
   ReassemblerStatsSnapshot stats() const noexcept;
   /// Span id of the open reassembly under `key`; none() when untracked.
   obs::SpanId span_of(std::uint64_t key) const;
 
  private:
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  /// One table slot. Closed slots go on the free list and are reset when
+  /// reused; `bytes` and `have` keep their capacity across reuse.
   struct Entry {
+    std::uint64_t key = 0;
     bool have_intro = false;
     std::uint16_t total_len = 0;
     std::uint32_t checksum = 0;
-    util::Bytes bytes;          // grows to the max extent seen
-    std::vector<bool> have;     // per-byte coverage
+    util::Bytes bytes;                // grows to the max extent seen
+    std::vector<std::uint64_t> have;  // coverage bitmap, one bit per byte
     std::size_t covered = 0;
     sim::TimePoint last_update;
-    std::list<std::uint64_t>::iterator lru_pos;
+    std::uint32_t prev = kNil;  // LRU neighbour, less recently updated
+    std::uint32_t next = kNil;  // LRU neighbour, or free-list link
     obs::SpanId span;           // open reassembly span, none() when unhooked
+  };
+
+  /// One key-index cell: linear probing, slot == kNil marks it empty.
+  struct Cell {
+    std::uint64_t key = 0;
+    std::uint32_t slot = kNil;
   };
 
   /// Registry-backed counter handles, one per snapshot field, plus the
@@ -159,10 +177,24 @@ class Reassembler {
     obs::Gauge pending;
   };
 
-  Entry& touch(std::uint64_t key, sim::TimePoint now);
+  /// Slot holding `key`, or kNil.
+  std::uint32_t find(std::uint64_t key) const noexcept;
+  std::size_t home(std::uint64_t key) const noexcept;
+  void index_insert(std::uint64_t key, std::uint32_t slot);
+  void index_erase(std::uint64_t key) noexcept;
+  void lru_unlink(std::uint32_t slot) noexcept;
+  void lru_append(std::uint32_t slot) noexcept;
+
+  /// Takes a free slot for a new `key` (evicting the least recently
+  /// updated entry when the table is full), resets it, indexes it and
+  /// appends it to the LRU list.
+  std::uint32_t open(std::uint64_t key, sim::TimePoint now);
+  /// Marks `slot` as updated at `now`: moves it to the LRU tail.
+  Entry& touch(std::uint32_t slot, sim::TimePoint now);
   /// The single exit point of the entry table: counts by reason, ends the
-  /// entry's span with the reason as outcome, and notifies closed_.
-  void close(std::uint64_t key, CloseReason reason, sim::TimePoint now);
+  /// entry's span with the reason as outcome, frees the slot and notifies
+  /// closed_.
+  void close(std::uint32_t slot, CloseReason reason, sim::TimePoint now);
   void maybe_complete(std::uint64_t key, Entry& entry, sim::TimePoint now);
   /// Writes `payload` at `offset`; true when it overwrote a received byte
   /// with different content.
@@ -177,8 +209,14 @@ class Reassembler {
   obs::SpanRecorder* spans_ = nullptr;
   std::uint32_t track_ = 0;
   Counters counters_;
-  std::unordered_map<std::uint64_t, Entry> entries_;
-  std::list<std::uint64_t> lru_;  // least recently updated at front
+  std::vector<Entry> slots_;
+  std::uint32_t free_ = kNil;      // head of the free-slot list
+  std::uint32_t lru_head_ = kNil;  // least recently updated live slot
+  std::uint32_t lru_tail_ = kNil;  // most recently updated live slot
+  std::size_t live_ = 0;
+  std::vector<Cell> index_;        // power-of-two size, at most half full
+  unsigned index_shift_ = 64;      // 64 - log2(index_.size())
+  util::Bytes delivery_;           // the packet handed to deliver_
 };
 
 }  // namespace retri::aff

@@ -3,23 +3,29 @@
 // This binary — and only this binary among the test targets — links
 // src/util/alloc_hook.cpp (the counting operator-new replacement), so it
 // can assert the refactor's core claim directly: once warmed up, the event
-// engine schedules and fires without allocating at all, and a broadcast
-// fans one shared payload out to every listener instead of copying it per
-// reception. The pre-refactor baseline was 1 alloc/event on the engine and
-// 22 allocs/transmit on a 5-listener fanout; the acceptance bar is >=2x
+// engine schedules and fires without allocating at all, a broadcast fans
+// one shared payload out to every listener instead of copying it per
+// reception, and the AFF reassembler recycles its table slots instead of
+// allocating per transaction. The pre-refactor baseline was 1 alloc/event
+// on the engine and 22 allocs/transmit on a 5-listener fanout; the
+// acceptance bar is >=2x
 // fewer, and these bounds are far inside it. The counts are exact, so the
 // budgets are plain tests, not a tolerance-gated benchmark.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "aff/reassembler.hpp"
+#include "aff/wire.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/medium.hpp"
 #include "sim/topology.hpp"
 #include "util/alloc_hook.hpp"
 #include "util/bytes.hpp"
+#include "util/checksum.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -160,6 +166,58 @@ TEST(AllocHotPath, MediumFanoutSharesOnePayloadBuffer) {
              "+ shared control block";
     }
   }
+}
+
+// The AFF receive path: 16 interleaved 80-byte transactions over 27-byte
+// frames, one of them restarted by a conflicting introduction, all
+// delivered. The warm-up lap sizes the entry slab, the key index and every
+// slot's byte and coverage buffers; the next lap, under fresh keys that
+// share the first lap's low 32 bits, must not allocate at all.
+TEST(AllocHotPath, ReassemblerSteadyStateIsAllocationFree) {
+  constexpr std::size_t kTxns = 16;
+  constexpr std::size_t kPacketBytes = 80;
+  const std::size_t chunk = 27 - aff::data_header_bytes(aff::WireConfig{});
+  std::vector<util::Bytes> packets;
+  for (std::size_t t = 0; t < kTxns; ++t) {
+    packets.push_back(util::random_payload(kPacketBytes, 100 + t));
+  }
+  aff::Reassembler reassembler;
+  std::size_t delivered_bytes = 0;
+  reassembler.set_deliver([&delivered_bytes](std::uint64_t,
+                                             const util::Bytes& packet) {
+    delivered_bytes += packet.size();
+  });
+  sim::TimePoint now = sim::TimePoint::origin();
+  auto lap = [&](std::uint64_t lap_index) {
+    const std::uint64_t base = lap_index << 32;
+    for (std::size_t t = 0; t < kTxns; ++t) {
+      const std::uint32_t crc = util::crc32(packets[t]);
+      if (t == 0) {
+        // A stale announcement the real one restarts.
+        reassembler.on_intro(base + t, kPacketBytes, crc ^ 1u, now);
+      }
+      reassembler.on_intro(base + t, kPacketBytes, crc, now);
+    }
+    for (std::size_t off = 0; off < kPacketBytes; off += chunk) {
+      const std::size_t n = std::min(chunk, kPacketBytes - off);
+      for (std::size_t t = 0; t < kTxns; ++t) {
+        reassembler.on_data(base + t, static_cast<std::uint16_t>(off),
+                            util::BytesView(packets[t].data() + off, n), now);
+        now = now + sim::Duration::microseconds(100);
+      }
+    }
+  };
+  lap(0);  // warmup: slab, index and slot buffers reach capacity
+  ASSERT_EQ(reassembler.stats().delivered, kTxns);
+  ASSERT_EQ(reassembler.stats().conflicting_writes, 1u);
+  const std::uint64_t before = util::alloc_count();
+  lap(1);
+  EXPECT_EQ(util::alloc_count() - before, 0u)
+      << "reassembly allocated in steady state";
+  EXPECT_EQ(reassembler.stats().delivered, 2 * kTxns);
+  EXPECT_EQ(reassembler.stats().conflicting_writes, 2u);
+  EXPECT_EQ(reassembler.pending_count(), 0u);
+  EXPECT_EQ(delivered_bytes, 2 * kTxns * kPacketBytes);
 }
 
 TEST(AllocHotPath, SharedBytesClonesOnlyWhenSharedAndMutated) {

@@ -43,7 +43,8 @@ TEST(LintRules, DefaultTableHasExpectedRules) {
   for (const char* id :
        {"no-unseeded-rand", "no-random-device", "no-wall-clock",
         "no-raw-thread", "header-pragma-once", "no-using-namespace-header",
-        "no-shared-ptr-hot", "no-priority-queue-sim", "no-adhoc-counter",
+        "no-shared-ptr-hot", "no-priority-queue-sim",
+        "no-node-containers-aff", "no-adhoc-counter",
         "no-direct-io",
         "no-global-mutable-state", "no-float-eq", "config-has-validated",
         "no-raw-selector-policy",
@@ -222,6 +223,37 @@ TEST(LintRules, PriorityQueueBannedUnderSimOnly) {
   EXPECT_FALSE(has_violation(scan("src/sim/engine.cpp",
                                   "int my_priority_queue_size = 0;\n"),
                              "no-priority-queue-sim"));
+}
+
+TEST(LintRules, NodeContainersBannedUnderAffOnly) {
+  for (const char* decl :
+       {"std::list<std::uint64_t> lru;\n",
+        "std::unordered_map<std::uint64_t, Entry> entries;\n",
+        "std::vector<bool> have;\n", "std::vector< bool > have;\n"}) {
+    const std::string body = std::string("#include <vector>\n") + decl;
+    EXPECT_TRUE(has_violation(scan("src/aff/reassembler.hpp", body),
+                              "no-node-containers-aff"))
+        << decl;
+    // Tests keep the node containers as the reassembler's reference
+    // model, and other layers are free to use them.
+    EXPECT_FALSE(has_violation(scan("tests/test_reassembler.cpp", body),
+                               "no-node-containers-aff"))
+        << decl;
+    EXPECT_FALSE(has_violation(scan("src/runner/sweep.cpp", body),
+                               "no-node-containers-aff"))
+        << decl;
+  }
+  // The slab's own containers and look-alike identifiers stay legal.
+  EXPECT_FALSE(has_violation(
+      scan("src/aff/reassembler.hpp",
+           "std::vector<std::uint64_t> have;\n"
+           "std::vector<bool_like> flags;\n"
+           "int my_std_list_size = 0;\n"),
+      "no-node-containers-aff"));
+  // A mention inside a comment is not a use.
+  EXPECT_FALSE(has_violation(
+      scan("src/aff/reassembler.cpp", "// replaced std::list and friends\n"),
+      "no-node-containers-aff"));
 }
 
 TEST(LintRules, AdhocCounterBannedInSrcOutsideObs) {

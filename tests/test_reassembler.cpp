@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <list>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/checksum.hpp"
@@ -298,6 +302,248 @@ TEST_F(ReassemblerTest, ManyInterleavedPacketsUnderDistinctKeys) {
   for (std::uint64_t k = 0; k < 20; ++k) {
     EXPECT_EQ(delivered[k].second, packets[k]);
   }
+}
+
+// Reference model for the differential oracle below: the node-container
+// reassembler (unordered_map entries, std::list LRU, std::vector<bool>
+// coverage) the slab replaced, reduced to its protocol logic — no spans,
+// plain tallies. The slab must reproduce it operation for operation.
+class ReferenceReassembler {
+ public:
+  explicit ReferenceReassembler(ReassemblerConfig config) : config_(config) {}
+
+  bool on_intro(std::uint64_t key, std::uint16_t total_len,
+                std::uint32_t checksum, sim::TimePoint now) {
+    ++stats.fragments_seen;
+    if (total_len == 0) {
+      ++stats.malformed;
+      return false;
+    }
+    ++stats.accepted_fragments;
+    Entry& entry = touch(key, now);
+    const bool conflicted =
+        entry.have_intro &&
+        (entry.total_len != total_len || entry.checksum != checksum);
+    if (conflicted) {
+      ++stats.conflicting_writes;
+      entry.bytes.clear();
+      entry.have.clear();
+      entry.covered = 0;
+    }
+    entry.have_intro = true;
+    entry.total_len = total_len;
+    entry.checksum = checksum;
+    maybe_complete(key, entry);
+    return conflicted;
+  }
+
+  bool on_data(std::uint64_t key, std::uint16_t offset,
+               util::BytesView payload, sim::TimePoint now) {
+    ++stats.fragments_seen;
+    if (payload.empty() ||
+        static_cast<std::size_t>(offset) + payload.size() > 0x10000) {
+      ++stats.malformed;
+      return false;
+    }
+    const auto it = entries_.find(key);
+    if (it == entries_.end() || !it->second.have_intro) {
+      ++stats.orphan_fragments;
+      return false;
+    }
+    ++stats.accepted_fragments;
+    Entry& entry = touch(key, now);
+    const bool conflicted = write_bytes(entry, offset, payload);
+    maybe_complete(key, entry);
+    return conflicted;
+  }
+
+  void expire(sim::TimePoint now) {
+    while (!lru_.empty()) {
+      const std::uint64_t key = lru_.front();
+      if (now - entries_.at(key).last_update < config_.timeout) break;
+      close(key, CloseReason::kTimeout);
+    }
+  }
+
+  bool pending(std::uint64_t key) const { return entries_.contains(key); }
+  std::size_t pending_count() const { return entries_.size(); }
+
+  ReassemblerStatsSnapshot stats;
+  std::vector<std::pair<std::uint64_t, util::Bytes>> delivered;
+  std::vector<std::uint64_t> closed;
+
+ private:
+  struct Entry {
+    bool have_intro = false;
+    std::uint16_t total_len = 0;
+    std::uint32_t checksum = 0;
+    util::Bytes bytes;
+    std::vector<bool> have;
+    std::size_t covered = 0;
+    sim::TimePoint last_update;
+    std::list<std::uint64_t>::iterator lru_pos;
+  };
+
+  Entry& touch(std::uint64_t key, sim::TimePoint now) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      if (entries_.size() >= config_.max_entries) {
+        close(lru_.front(), CloseReason::kEvicted);
+      }
+      it = entries_.emplace(key, Entry{}).first;
+      it->second.lru_pos = lru_.insert(lru_.end(), key);
+    } else {
+      lru_.splice(lru_.end(), lru_, it->second.lru_pos);
+    }
+    it->second.last_update = now;
+    return it->second;
+  }
+
+  void close(std::uint64_t key, CloseReason reason) {
+    const auto it = entries_.find(key);
+    switch (reason) {
+      case CloseReason::kDelivered: ++stats.delivered; break;
+      case CloseReason::kChecksumFailed: ++stats.checksum_failed; break;
+      case CloseReason::kTimeout: ++stats.timeouts; break;
+      case CloseReason::kEvicted: ++stats.evicted; break;
+    }
+    lru_.erase(it->second.lru_pos);
+    entries_.erase(it);
+    closed.push_back(key);
+  }
+
+  bool write_bytes(Entry& entry, std::size_t offset, util::BytesView payload) {
+    const std::size_t extent = offset + payload.size();
+    if (entry.bytes.size() < extent) {
+      entry.bytes.resize(extent, 0);
+      entry.have.resize(extent, false);
+    }
+    bool conflicted = false;
+    bool all_duplicate = !payload.empty();
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      const std::size_t pos = offset + i;
+      if (entry.have[pos]) {
+        if (entry.bytes[pos] != payload[i]) conflicted = true;
+      } else {
+        entry.have[pos] = true;
+        ++entry.covered;
+        all_duplicate = false;
+      }
+      entry.bytes[pos] = payload[i];
+    }
+    if (conflicted) ++stats.conflicting_writes;
+    else if (all_duplicate) ++stats.duplicate_fragments;
+    return conflicted;
+  }
+
+  void maybe_complete(std::uint64_t key, Entry& entry) {
+    if (!entry.have_intro || entry.covered < entry.total_len) return;
+    const util::BytesView packet(entry.bytes.data(), entry.total_len);
+    const bool valid = util::crc32(packet) == entry.checksum;
+    if (valid) delivered.emplace_back(key, util::Bytes(packet.begin(), packet.end()));
+    close(key, valid ? CloseReason::kDelivered : CloseReason::kChecksumFailed);
+  }
+
+  ReassemblerConfig config_;
+  std::unordered_map<std::uint64_t, Entry> entries_;
+  std::list<std::uint64_t> lru_;
+};
+
+std::array<std::uint64_t, 10> tallies(const ReassemblerStatsSnapshot& s) {
+  return {s.delivered,          s.checksum_failed, s.conflicting_writes,
+          s.duplicate_fragments, s.timeouts,        s.evicted,
+          s.malformed,          s.orphan_fragments, s.accepted_fragments,
+          s.fragments_seen};
+}
+
+// Differential oracle: 20k seeded mixed on_intro/on_data/expire operations
+// against the reference model. Keys come from a small pool whose members
+// share their low 32 bits (k, k + 2^32, k + 2^33, ...), so ids are reused
+// constantly and the index sees long probe runs and backward shifts; the
+// table holds only 6 entries, so eviction runs all the time. The stream
+// mixes whole packets, colliding writes from another packet, duplicates,
+// bytes past the announced length, wrong checksums, conflicting
+// introductions and malformed fragments. Every step must agree on the
+// return value, the tallies, the delivered and closed sequences and the
+// pending set.
+TEST(ReassemblerOracle, DifferentialOver20kMixedOps) {
+  const ReassemblerConfig config{sim::Duration::milliseconds(100), 6};
+  Reassembler slab(config);
+  ReferenceReassembler reference(config);
+  std::vector<std::pair<std::uint64_t, util::Bytes>> delivered;
+  std::vector<std::uint64_t> closed;
+  slab.set_deliver([&delivered](std::uint64_t key, const util::Bytes& packet) {
+    delivered.emplace_back(key, packet);
+  });
+  slab.set_closed([&closed](std::uint64_t key) { closed.push_back(key); });
+
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t low = 0; low < 4; ++low) {
+    for (std::uint64_t high = 0; high < 4; ++high) {
+      keys.push_back(low + (high << 32));
+    }
+  }
+  std::vector<util::Bytes> packets;
+  for (std::uint64_t p = 0; p < 8; ++p) {
+    packets.push_back(util::random_payload(1 + 13 * p, 500 + p));
+  }
+
+  util::Xoshiro256 rng(2024);
+  sim::TimePoint now = sim::TimePoint::origin();
+  for (int op = 0; op < 20000; ++op) {
+    now = now + sim::Duration::microseconds(
+                    static_cast<std::int64_t>(rng.below(8000)));
+    const std::uint64_t key = keys[rng.below(keys.size())];
+    const util::Bytes& packet = packets[rng.below(packets.size())];
+    const auto len = static_cast<std::uint16_t>(packet.size());
+    const std::uint64_t roll = rng.below(100);
+    if (roll < 25) {
+      // Introduction: mostly truthful, sometimes a wrong checksum, rarely
+      // malformed (zero length).
+      std::uint32_t crc = util::crc32(packet);
+      std::uint16_t total = len;
+      if (roll < 4) crc ^= 0x5a5a;
+      if (roll == 4) total = 0;
+      ASSERT_EQ(slab.on_intro(key, total, crc, now),
+                reference.on_intro(key, total, crc, now))
+          << "op " << op;
+    } else if (roll < 95) {
+      // Data: a slice of the packet, occasionally shifted past the end or
+      // overrunning 64 KiB, or empty.
+      std::size_t off = rng.below(packet.size());
+      std::size_t n = 1 + rng.below(packet.size() - off);
+      util::Bytes bytes(packet.begin() + static_cast<std::ptrdiff_t>(off),
+                        packet.begin() + static_cast<std::ptrdiff_t>(off + n));
+      if (roll < 30) off += packet.size();            // past total_len
+      if (roll == 30) off = 0xffff;                   // overruns 64 KiB
+      if (roll == 31) bytes.clear();                  // empty
+      const auto offset = static_cast<std::uint16_t>(off);
+      ASSERT_EQ(slab.on_data(key, offset, bytes, now),
+                reference.on_data(key, offset, bytes, now))
+          << "op " << op;
+    } else {
+      slab.expire(now);
+      reference.expire(now);
+    }
+    ASSERT_EQ(tallies(slab.stats()), tallies(reference.stats)) << "op " << op;
+    ASSERT_EQ(delivered, reference.delivered) << "op " << op;
+    ASSERT_EQ(closed, reference.closed) << "op " << op;
+    ASSERT_EQ(slab.pending_count(), reference.pending_count()) << "op " << op;
+    for (const std::uint64_t k : keys) {
+      ASSERT_EQ(slab.pending(k), reference.pending(k)) << "op " << op;
+    }
+  }
+  // The stream must have exercised every outcome, or the oracle proves
+  // nothing about it.
+  const ReassemblerStatsSnapshot s = slab.stats();
+  EXPECT_GT(s.delivered, 0u);
+  EXPECT_GT(s.checksum_failed, 0u);
+  EXPECT_GT(s.conflicting_writes, 0u);
+  EXPECT_GT(s.duplicate_fragments, 0u);
+  EXPECT_GT(s.timeouts, 0u);
+  EXPECT_GT(s.evicted, 0u);
+  EXPECT_GT(s.malformed, 0u);
+  EXPECT_GT(s.orphan_fragments, 0u);
 }
 
 }  // namespace

@@ -158,6 +158,19 @@ std::vector<Rule> make_default_rules() {
       {"src/sim/"}});
 
   rules.push_back(Rule{
+      "no-node-containers-aff",
+      RuleKind::kBannedPattern,
+      R"(\bstd::list\b|\bstd::unordered_map\b|\bstd::vector\s*<\s*bool\s*>)",
+      {},
+      {},
+      "the AFF receive path runs on a slab reassembler (DESIGN.md §5e): "
+      "recycled entry slots, word-wide coverage bitmaps, an intrusive LRU "
+      "and an open-addressing index; std::list, std::unordered_map and "
+      "std::vector<bool> under src/aff bring back a heap node per "
+      "transaction — tests may still use them as a reference model",
+      {"src/aff/"}});
+
+  rules.push_back(Rule{
       "no-adhoc-counter",
       RuleKind::kBannedPattern,
       R"(\bstd::uint64_t\s+\w*_count\w*\s*[={;\[])",
