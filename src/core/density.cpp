@@ -46,6 +46,15 @@ double PeakWindowDensity::estimate() const {
   return static_cast<double>(peak);
 }
 
+std::string_view to_string(DensityModelKind kind) noexcept {
+  switch (kind) {
+    case DensityModelKind::kEwma: return "ewma";
+    case DensityModelKind::kInstantaneous: return "instantaneous";
+    case DensityModelKind::kPeakWindow: return "peak_window";
+  }
+  return "?";
+}
+
 std::unique_ptr<DensityModel> make_density_model(DensityModelKind kind) {
   switch (kind) {
     case DensityModelKind::kEwma:

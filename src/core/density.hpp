@@ -102,6 +102,9 @@ class PeakWindowDensity final : public DensityModel {
 /// Which DensityModel a driver should construct.
 enum class DensityModelKind { kEwma, kInstantaneous, kPeakWindow };
 
+/// Canonical name ("ewma", "instantaneous", "peak_window").
+std::string_view to_string(DensityModelKind kind) noexcept;
+
 std::unique_ptr<DensityModel> make_density_model(DensityModelKind kind);
 
 }  // namespace retri::core

@@ -154,6 +154,19 @@ struct SelectorSpec {
   /// kPermutation / kHybrid: walk length before rekeying to a fresh
   /// bijection. 0 means the full identifier space (clamped to it anyway).
   std::uint64_t permutation_period = 0;
+
+  /// Wire fields in wire order (util/json_fields.hpp), with the listening
+  /// parameters flattened into the selector object.
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f("policy", s.policy);
+    f("initial_density", s.listening.initial_density);
+    f("fixed_window", s.listening.fixed_window);
+    f("heed_notifications", s.listening.heed_notifications);
+    f("notification_multiplier", s.listening.notification_multiplier);
+    f("counter_salt", s.counter_salt);
+    f("permutation_period", s.permutation_period);
+  }
 };
 
 /// Returns `spec` unchanged or throws std::invalid_argument naming the
@@ -378,13 +391,6 @@ class HybridSelector final : public IdSelector {
 
 /// Instantiates `spec` (validated) over `space`, seeded with `seed`.
 std::unique_ptr<IdSelector> make_selector(const SelectorSpec& spec,
-                                          IdSpace space, std::uint64_t seed);
-
-/// Legacy string-facing shim for CLI-ish call sites: parse_selector_spec +
-/// make_selector(spec). Throws std::invalid_argument (listing every policy)
-/// on an unknown name. Bit-identical to the spec path — it IS the spec
-/// path.
-std::unique_ptr<IdSelector> make_selector(std::string_view policy,
                                           IdSpace space, std::uint64_t seed);
 
 }  // namespace retri::core

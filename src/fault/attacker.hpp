@@ -77,6 +77,16 @@ struct AttackerPlan {
   std::size_t junk_bytes = 8;
 
   bool active() const noexcept { return mode != AttackerMode::kOff; }
+
+  /// Wire fields in wire order (util/json_fields.hpp).
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f("mode", s.mode);
+    f("flood_interval_ns", s.flood_interval);
+    f("echo_delay_ns", s.echo_delay);
+    f("echo_probability", s.echo_probability);
+    f("junk_bytes", s.junk_bytes);
+  }
 };
 
 /// Returns `plan` unchanged or throws std::invalid_argument naming the

@@ -53,6 +53,18 @@ struct MetricValue {
   std::vector<std::uint64_t> buckets;
 
   bool operator==(const MetricValue&) const = default;
+
+  /// Wire fields in wire order (util/json_fields.hpp).
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f("name", s.name);
+    f("kind", s.kind);
+    f("count", s.count);
+    f("level", s.level);
+    f("peak", s.peak);
+    f("bounds", s.bounds);
+    f("buckets", s.buckets);
+  }
 };
 
 /// Zero-allocation counter handle. Default-constructed handles are inert:

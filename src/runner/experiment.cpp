@@ -101,15 +101,6 @@ std::string_view to_string(TopologyKind kind) noexcept {
   return "?";
 }
 
-std::string_view to_string(core::DensityModelKind kind) noexcept {
-  switch (kind) {
-    case core::DensityModelKind::kEwma: return "ewma";
-    case core::DensityModelKind::kInstantaneous: return "instantaneous";
-    case core::DensityModelKind::kPeakWindow: return "peak_window";
-  }
-  return "?";
-}
-
 ExperimentConfig validated(ExperimentConfig config) {
   util::Validator v{"ExperimentConfig"};
   v.at_least("senders", config.senders, 1);

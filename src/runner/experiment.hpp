@@ -37,7 +37,6 @@ enum class TopologyKind {
 };
 
 std::string_view to_string(TopologyKind kind) noexcept;
-std::string_view to_string(core::DensityModelKind kind) noexcept;
 
 struct ExperimentConfig {
   std::size_t senders = 5;
@@ -86,6 +85,29 @@ struct ExperimentConfig {
   /// send window.
   fault::AttackerPlan attacker;
   std::uint64_t seed = 1;
+
+  /// Wire fields in wire order (util/json_fields.hpp): the serve codec's
+  /// canonical cell and ResultSink's per-point config record.
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f("senders", s.senders);
+    f("topology", s.topology);
+    f("id_bits", s.id_bits);
+    f("selector", s.selector);
+    f("attacker", s.attacker);
+    f("packet_bytes", s.packet_bytes);
+    f("per_sender_packet_bytes", s.per_sender_packet_bytes);
+    f("send_ns", s.send_duration);
+    f("drain_ns", s.drain_extra);
+    f("collision_notifications", s.collision_notifications);
+    f("tx_jitter_ns", s.tx_jitter);
+    f("sender_listen_duty", s.sender_listen_duty);
+    f("duty_period_ns", s.duty_period);
+    f("density_model", s.density_model);
+    f("loss_rate", s.loss_rate);
+    f("channel", s.channel);
+    f("seed", s.seed);
+  }
 };
 
 /// Returns `config` unchanged or throws std::invalid_argument naming the
@@ -118,6 +140,26 @@ struct ExperimentResult {
   /// vs. short transactions without violating address-freedom.
   std::map<std::size_t, std::uint64_t> aff_by_size;
   std::map<std::size_t, std::uint64_t> truth_by_size;
+
+  /// Wire fields in wire order (util/json_fields.hpp): the serve cache
+  /// body. The metrics snapshot is written as its bare entry array.
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f("packets_offered", s.packets_offered);
+    f("aff_delivered", s.aff_delivered);
+    f("truth_delivered", s.truth_delivered);
+    f("checksum_failures", s.checksum_failures);
+    f("conflicting_writes", s.conflicting_writes);
+    f("notifications_sent", s.notifications_sent);
+    f("receiver_density_estimate", s.receiver_density_estimate);
+    f("tx_energy_nj", s.tx_energy_nj);
+    f("tx_bits", s.tx_bits);
+    f("frames_attempted", s.frames_attempted);
+    f("frames_lost_channel", s.frames_lost_channel);
+    f("metrics", s.metrics.entries);
+    f("aff_by_size", s.aff_by_size);
+    f("truth_by_size", s.truth_by_size);
+  }
 
   /// Collision-loss rate for one packet-size class, clamped to [0, 1]:
   /// duplicate AFF deliveries under id collisions can push aff_by_size

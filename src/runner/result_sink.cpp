@@ -1,60 +1,14 @@
 #include "runner/result_sink.hpp"
 
 #include "obs/export.hpp"
-#include "runner/json.hpp"
 #include "runner/seeds.hpp"
+#include "util/json.hpp"
+#include "util/json_fields.hpp"
 
 namespace retri::runner {
 namespace {
 
-void write_config(JsonWriter& json, const ExperimentConfig& config) {
-  json.begin_object();
-  json.member("senders", config.senders);
-  json.member("topology", to_string(config.topology));
-  json.member("id_bits", config.id_bits);
-  json.key("selector").begin_object();
-  json.member("policy", core::to_string(config.selector.policy));
-  if (config.selector.policy == core::SelectorPolicy::kListening) {
-    json.member("heed_notifications",
-                config.selector.listening.heed_notifications);
-  }
-  if (config.selector.counter_salt != 0) {
-    json.member("counter_salt", config.selector.counter_salt);
-  }
-  if (config.selector.permutation_period != 0) {
-    json.member("permutation_period", config.selector.permutation_period);
-  }
-  json.end_object();
-  if (config.attacker.active()) {
-    json.key("attacker").begin_object();
-    json.member("mode", fault::to_string(config.attacker.mode));
-    json.member("flood_interval_ms",
-                config.attacker.flood_interval.to_seconds() * 1e3);
-    json.member("echo_delay_ms", config.attacker.echo_delay.to_seconds() * 1e3);
-    json.member("echo_probability", config.attacker.echo_probability);
-    json.member("junk_bytes", config.attacker.junk_bytes);
-    json.end_object();
-  }
-  json.member("packet_bytes", config.packet_bytes);
-  if (!config.per_sender_packet_bytes.empty()) {
-    json.key("per_sender_packet_bytes").begin_array();
-    for (const std::size_t bytes : config.per_sender_packet_bytes) {
-      json.value(bytes);
-    }
-    json.end_array();
-  }
-  json.member("send_seconds", config.send_duration.to_seconds());
-  json.member("drain_seconds", config.drain_extra.to_seconds());
-  json.member("collision_notifications", config.collision_notifications);
-  json.member("tx_jitter_ms", config.tx_jitter.to_seconds() * 1e3);
-  json.member("sender_listen_duty", config.sender_listen_duty);
-  json.member("duty_period_ms", config.duty_period.to_seconds() * 1e3);
-  json.member("density_model", to_string(config.density_model));
-  json.member("channel", config.channel);
-  json.member("loss_rate", config.loss_rate);
-  json.member("seed", config.seed);
-  json.end_object();
-}
+using util::JsonWriter;
 
 void write_trial(JsonWriter& json, const ExperimentConfig& config,
                  const ExperimentResult& trial,
@@ -125,7 +79,7 @@ std::string ResultSink::to_json(const SweepResult& result, bool pretty,
     json.begin_object();
     json.member("label", point.label);
     json.key("config");
-    write_config(json, point.config);
+    util::write_json(json, point.config);
 
     json.key("trials").begin_array();
     for (std::size_t t = 0; t < point.trials.size(); ++t) {

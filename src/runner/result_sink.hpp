@@ -44,12 +44,13 @@ class ResultSink {
   /// "cache" {hit, key, code_version} objects — emitted only when
   /// ServeAnnotations are passed (retri_bench --via --cache-info); default
   /// artifacts carry no serve members and stay bit-comparable to local runs.
-  /// v5: config's flat "policy" string becomes a structured "selector"
-  /// object {policy, heed_notifications?, counter_salt?,
-  /// permutation_period?}; configs with an active attacker gain an
-  /// "attacker" object {mode, flood_interval_ms, echo_delay_ms,
-  /// echo_probability, junk_bytes}.
-  static constexpr int kSchemaVersion = 5;
+  /// v5: config's flat policy string becomes a structured selector object,
+  /// and configs with an active attacker gain an attacker object.
+  /// v6: each point's config is the lossless canonical encoding shared
+  /// with the serve codec (ExperimentConfig::fields): every field always
+  /// present, durations as integer nanoseconds, so serve::decode_config
+  /// reads it back to the exact config that ran.
+  static constexpr int kSchemaVersion = 6;
 
   /// Serializes `result` (pretty-printed when `pretty`). `serve`, when
   /// non-null, adds the v4 provenance members.

@@ -54,6 +54,24 @@ struct SweepSpec {
   std::vector<std::string> channels;
   std::vector<double> loss_rates;
 
+  /// Wire fields in wire order (util/json_fields.hpp): the serve submit
+  /// body and job checkpoint spec.
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f("name", s.name);
+    f("description", s.description);
+    f("trials", s.trials);
+    f("base", s.base);
+    f("id_bits", s.id_bits);
+    f("selectors", s.selectors);
+    f("attackers", s.attackers);
+    f("senders", s.senders);
+    f("duties", s.duties);
+    f("density_models", s.density_models);
+    f("channels", s.channels);
+    f("loss_rates", s.loss_rates);
+  }
+
   /// Number of points the grid expands to.
   std::size_t point_count() const noexcept;
 

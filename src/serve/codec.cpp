@@ -1,303 +1,23 @@
 #include "serve/codec.hpp"
 
-#include <utility>
-
 #include "serve/cache.hpp"
+#include "util/json_fields.hpp"
 
 namespace retri::serve {
 
 namespace {
 
-using util::JsonValue;
-
-// --- strict field extraction ----------------------------------------------
-// Each getter either fills `out` or records the first error. Decoders bail
-// on the first failure; the message names the offending key so a corrupt
-// cache body or malformed wire frame is diagnosable from the error alone.
-
-bool fail(std::string& err, std::string_view key, std::string_view what) {
-  if (err.empty()) {
-    err = "field \"" + std::string(key) + "\": " + std::string(what);
+// Decodes `doc` into a fresh T through its field list; errors carry the
+// document's name ("config: field \"topology\": unknown value ...").
+template <class T>
+util::Result<T, std::string> decode(const util::JsonValue& doc,
+                                    std::string_view what) {
+  T out;
+  std::string err;
+  if (!util::read_json(doc, out, err)) {
+    return std::string(what) + ": " + err;
   }
-  return false;
-}
-
-bool get_u64(const JsonValue& doc, std::string_view key, std::uint64_t& out,
-             std::string& err) {
-  const JsonValue* v = doc.find(key);
-  if (v == nullptr || !v->is_number()) return fail(err, key, "expected number");
-  out = v->as_u64();
-  return true;
-}
-
-bool get_i64(const JsonValue& doc, std::string_view key, std::int64_t& out,
-             std::string& err) {
-  const JsonValue* v = doc.find(key);
-  if (v == nullptr || !v->is_number()) return fail(err, key, "expected number");
-  out = v->as_i64();
-  return true;
-}
-
-bool get_dbl(const JsonValue& doc, std::string_view key, double& out,
-             std::string& err) {
-  const JsonValue* v = doc.find(key);
-  if (v == nullptr || !v->is_number()) return fail(err, key, "expected number");
-  out = v->as_double();
-  return true;
-}
-
-bool get_str(const JsonValue& doc, std::string_view key, std::string& out,
-             std::string& err) {
-  const JsonValue* v = doc.find(key);
-  if (v == nullptr || !v->is_string()) return fail(err, key, "expected string");
-  out = v->as_string();
-  return true;
-}
-
-bool get_bool(const JsonValue& doc, std::string_view key, bool& out,
-              std::string& err) {
-  const JsonValue* v = doc.find(key);
-  if (v == nullptr || !v->is_bool()) return fail(err, key, "expected bool");
-  out = v->as_bool();
-  return true;
-}
-
-bool get_array(const JsonValue& doc, std::string_view key,
-               const JsonValue*& out, std::string& err) {
-  const JsonValue* v = doc.find(key);
-  if (v == nullptr || !v->is_array()) return fail(err, key, "expected array");
-  out = v;
-  return true;
-}
-
-bool get_duration(const JsonValue& doc, std::string_view key,
-                  sim::Duration& out, std::string& err) {
-  std::int64_t ns = 0;
-  if (!get_i64(doc, key, ns, err)) return false;
-  out = sim::Duration::nanoseconds(ns);
-  return true;
-}
-
-// --- enum spellings --------------------------------------------------------
-// The encode side reuses runner::to_string; decode inverts it here so a new
-// enumerator without a decode arm fails loudly (unknown-name error) instead
-// of defaulting.
-
-bool parse_topology(std::string_view name, runner::TopologyKind& out) {
-  if (name == to_string(runner::TopologyKind::kStarFullMesh)) {
-    out = runner::TopologyKind::kStarFullMesh;
-    return true;
-  }
-  if (name == to_string(runner::TopologyKind::kHiddenTerminal)) {
-    out = runner::TopologyKind::kHiddenTerminal;
-    return true;
-  }
-  return false;
-}
-
-bool parse_density_model(std::string_view name, core::DensityModelKind& out) {
-  for (const auto kind :
-       {core::DensityModelKind::kEwma, core::DensityModelKind::kInstantaneous,
-        core::DensityModelKind::kPeakWindow}) {
-    if (name == runner::to_string(kind)) {
-      out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool parse_selector_policy(std::string_view name, core::SelectorPolicy& out) {
-  for (const auto policy :
-       {core::SelectorPolicy::kUniform, core::SelectorPolicy::kListening,
-        core::SelectorPolicy::kCounter, core::SelectorPolicy::kHashedCounter,
-        core::SelectorPolicy::kPermutation, core::SelectorPolicy::kHybrid}) {
-    if (name == core::to_string(policy)) {
-      out = policy;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool parse_attacker_mode(std::string_view name, fault::AttackerMode& out) {
-  auto parsed = fault::parse_attacker_mode(name);
-  if (!parsed.ok()) return false;
-  out = parsed.value();
-  return true;
-}
-
-// Selector/attacker sub-objects appear both inside configs and as sweep
-// axis entries, so they get their own write/decode pair. Every field is
-// written unconditionally: canonical_cell must be a pure function of the
-// config, and decode must invert encode exactly.
-
-void write_selector(util::JsonWriter& json, const core::SelectorSpec& spec) {
-  json.begin_object();
-  json.member("policy", core::to_string(spec.policy));
-  json.member("initial_density", spec.listening.initial_density);
-  json.member("fixed_window",
-              static_cast<std::uint64_t>(spec.listening.fixed_window));
-  json.member("heed_notifications", spec.listening.heed_notifications);
-  json.member("notification_multiplier",
-              static_cast<std::uint64_t>(spec.listening.notification_multiplier));
-  json.member("counter_salt", spec.counter_salt);
-  json.member("permutation_period", spec.permutation_period);
-  json.end_object();
-}
-
-bool decode_selector(const JsonValue& doc, core::SelectorSpec& out,
-                     std::string& err) {
-  if (!doc.is_object()) return fail(err, "selector", "expected object");
-  std::string policy;
-  std::uint64_t fixed_window = 0;
-  std::uint64_t notification_multiplier = 0;
-  if (!get_str(doc, "policy", policy, err) ||
-      !get_dbl(doc, "initial_density", out.listening.initial_density, err) ||
-      !get_u64(doc, "fixed_window", fixed_window, err) ||
-      !get_bool(doc, "heed_notifications", out.listening.heed_notifications,
-                err) ||
-      !get_u64(doc, "notification_multiplier", notification_multiplier, err) ||
-      !get_u64(doc, "counter_salt", out.counter_salt, err) ||
-      !get_u64(doc, "permutation_period", out.permutation_period, err)) {
-    return false;
-  }
-  out.listening.fixed_window = static_cast<std::size_t>(fixed_window);
-  out.listening.notification_multiplier =
-      static_cast<std::size_t>(notification_multiplier);
-  if (!parse_selector_policy(policy, out.policy)) {
-    return fail(err, "policy", "unknown selector policy \"" + policy + "\"");
-  }
-  return true;
-}
-
-void write_attacker(util::JsonWriter& json, const fault::AttackerPlan& plan) {
-  json.begin_object();
-  json.member("mode", fault::to_string(plan.mode));
-  json.member("flood_interval_ns", plan.flood_interval.ns());
-  json.member("echo_delay_ns", plan.echo_delay.ns());
-  json.member("echo_probability", plan.echo_probability);
-  json.member("junk_bytes", static_cast<std::uint64_t>(plan.junk_bytes));
-  json.end_object();
-}
-
-bool decode_attacker(const JsonValue& doc, fault::AttackerPlan& out,
-                     std::string& err) {
-  if (!doc.is_object()) return fail(err, "attacker", "expected object");
-  std::string mode;
-  std::uint64_t junk_bytes = 0;
-  if (!get_str(doc, "mode", mode, err) ||
-      !get_duration(doc, "flood_interval_ns", out.flood_interval, err) ||
-      !get_duration(doc, "echo_delay_ns", out.echo_delay, err) ||
-      !get_dbl(doc, "echo_probability", out.echo_probability, err) ||
-      !get_u64(doc, "junk_bytes", junk_bytes, err)) {
-    return false;
-  }
-  out.junk_bytes = static_cast<std::size_t>(junk_bytes);
-  if (!parse_attacker_mode(mode, out.mode)) {
-    return fail(err, "mode", "unknown attacker mode \"" + mode + "\"");
-  }
-  return true;
-}
-
-bool parse_metric_kind(std::string_view name, obs::MetricKind& out) {
-  for (const auto kind : {obs::MetricKind::kCounter, obs::MetricKind::kGauge,
-                          obs::MetricKind::kHistogram}) {
-    if (name == obs::to_string(kind)) {
-      out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-void write_size_map(util::JsonWriter& json, std::string_view key,
-                    const std::map<std::size_t, std::uint64_t>& by_size) {
-  json.key(key);
-  json.begin_array();
-  for (const auto& [size, count] : by_size) {
-    json.begin_array();
-    json.value(static_cast<std::uint64_t>(size));
-    json.value(count);
-    json.end_array();
-  }
-  json.end_array();
-}
-
-bool decode_size_map(const JsonValue& doc, std::string_view key,
-                     std::map<std::size_t, std::uint64_t>& out,
-                     std::string& err) {
-  const JsonValue* array = nullptr;
-  if (!get_array(doc, key, array, err)) return false;
-  for (const JsonValue& pair : array->items()) {
-    if (!pair.is_array() || pair.size() != 2 || !pair[0].is_number() ||
-        !pair[1].is_number()) {
-      return fail(err, key, "expected [size, count] pairs");
-    }
-    out[static_cast<std::size_t>(pair[0].as_u64())] = pair[1].as_u64();
-  }
-  return true;
-}
-
-void write_metrics(util::JsonWriter& json, const obs::MetricsSnapshot& metrics) {
-  json.key("metrics");
-  json.begin_array();
-  for (const obs::MetricValue& entry : metrics.entries) {
-    json.begin_object();
-    json.member("name", entry.name);
-    json.member("kind", obs::to_string(entry.kind));
-    json.member("count", entry.count);
-    json.member("level", entry.level);
-    json.member("peak", entry.peak);
-    json.key("bounds");
-    json.begin_array();
-    for (const double bound : entry.bounds) json.value(bound);
-    json.end_array();
-    json.key("buckets");
-    json.begin_array();
-    for (const std::uint64_t bucket : entry.buckets) json.value(bucket);
-    json.end_array();
-    json.end_object();
-  }
-  json.end_array();
-}
-
-bool decode_metrics(const JsonValue& doc, obs::MetricsSnapshot& out,
-                    std::string& err) {
-  const JsonValue* array = nullptr;
-  if (!get_array(doc, "metrics", array, err)) return false;
-  out.entries.reserve(array->size());
-  for (const JsonValue& item : array->items()) {
-    if (!item.is_object()) return fail(err, "metrics", "expected objects");
-    obs::MetricValue entry;
-    std::string kind;
-    if (!get_str(item, "name", entry.name, err) ||
-        !get_str(item, "kind", kind, err) ||
-        !get_u64(item, "count", entry.count, err) ||
-        !get_i64(item, "level", entry.level, err) ||
-        !get_i64(item, "peak", entry.peak, err)) {
-      return false;
-    }
-    if (!parse_metric_kind(kind, entry.kind)) {
-      return fail(err, "kind", "unknown metric kind \"" + kind + "\"");
-    }
-    const JsonValue* bounds = nullptr;
-    const JsonValue* buckets = nullptr;
-    if (!get_array(item, "bounds", bounds, err) ||
-        !get_array(item, "buckets", buckets, err)) {
-      return false;
-    }
-    for (const JsonValue& bound : bounds->items()) {
-      if (!bound.is_number()) return fail(err, "bounds", "expected numbers");
-      entry.bounds.push_back(bound.as_double());
-    }
-    for (const JsonValue& bucket : buckets->items()) {
-      if (!bucket.is_number()) return fail(err, "buckets", "expected numbers");
-      entry.buckets.push_back(bucket.as_u64());
-    }
-    out.entries.push_back(std::move(entry));
-  }
-  return true;
+  return out;
 }
 
 }  // namespace
@@ -306,153 +26,32 @@ bool decode_metrics(const JsonValue& doc, obs::MetricsSnapshot& out,
 
 void write_config(util::JsonWriter& json,
                   const runner::ExperimentConfig& config) {
-  json.begin_object();
-  json.member("senders", static_cast<std::uint64_t>(config.senders));
-  json.member("topology", to_string(config.topology));
-  json.member("id_bits", static_cast<std::uint64_t>(config.id_bits));
-  json.key("selector");
-  write_selector(json, config.selector);
-  json.key("attacker");
-  write_attacker(json, config.attacker);
-  json.member("packet_bytes", static_cast<std::uint64_t>(config.packet_bytes));
-  json.key("per_sender_packet_bytes");
-  json.begin_array();
-  for (const std::size_t bytes : config.per_sender_packet_bytes) {
-    json.value(static_cast<std::uint64_t>(bytes));
-  }
-  json.end_array();
-  json.member("send_ns", config.send_duration.ns());
-  json.member("drain_ns", config.drain_extra.ns());
-  json.member("collision_notifications", config.collision_notifications);
-  json.member("tx_jitter_ns", config.tx_jitter.ns());
-  json.member("sender_listen_duty", config.sender_listen_duty);
-  json.member("duty_period_ns", config.duty_period.ns());
-  json.member("density_model", runner::to_string(config.density_model));
-  json.member("loss_rate", config.loss_rate);
-  json.member("channel", config.channel);
-  json.member("seed", config.seed);
-  json.end_object();
+  util::write_json(json, config);
 }
 
 std::string canonical_cell(const runner::ExperimentConfig& config) {
-  util::JsonWriter json(/*pretty=*/false);
-  write_config(json, config);
-  return json.str();
+  return util::to_json(config);
 }
 
 util::Result<runner::ExperimentConfig, std::string> decode_config(
     const util::JsonValue& doc) {
-  if (!doc.is_object()) return std::string("config: expected object");
-  runner::ExperimentConfig config;
-  std::string err;
-  std::uint64_t senders = 0;
-  std::uint64_t id_bits = 0;
-  std::uint64_t packet_bytes = 0;
-  std::string topology;
-  std::string density_model;
-  const util::JsonValue* per_sender = nullptr;
-  const util::JsonValue* selector = doc.find("selector");
-  if (selector == nullptr) {
-    return std::string("config: field \"selector\": missing");
-  }
-  if (!decode_selector(*selector, config.selector, err)) {
-    return "config: " + err;
-  }
-  const util::JsonValue* attacker = doc.find("attacker");
-  if (attacker == nullptr) {
-    return std::string("config: field \"attacker\": missing");
-  }
-  if (!decode_attacker(*attacker, config.attacker, err)) {
-    return "config: " + err;
-  }
-  if (!get_u64(doc, "senders", senders, err) ||
-      !get_str(doc, "topology", topology, err) ||
-      !get_u64(doc, "id_bits", id_bits, err) ||
-      !get_u64(doc, "packet_bytes", packet_bytes, err) ||
-      !get_array(doc, "per_sender_packet_bytes", per_sender, err) ||
-      !get_duration(doc, "send_ns", config.send_duration, err) ||
-      !get_duration(doc, "drain_ns", config.drain_extra, err) ||
-      !get_bool(doc, "collision_notifications", config.collision_notifications,
-                err) ||
-      !get_duration(doc, "tx_jitter_ns", config.tx_jitter, err) ||
-      !get_dbl(doc, "sender_listen_duty", config.sender_listen_duty, err) ||
-      !get_duration(doc, "duty_period_ns", config.duty_period, err) ||
-      !get_str(doc, "density_model", density_model, err) ||
-      !get_dbl(doc, "loss_rate", config.loss_rate, err) ||
-      !get_str(doc, "channel", config.channel, err) ||
-      !get_u64(doc, "seed", config.seed, err)) {
-    return "config: " + err;
-  }
-  config.senders = static_cast<std::size_t>(senders);
-  config.id_bits = static_cast<unsigned>(id_bits);
-  config.packet_bytes = static_cast<std::size_t>(packet_bytes);
-  for (const util::JsonValue& bytes : per_sender->items()) {
-    if (!bytes.is_number()) {
-      return std::string("config: per_sender_packet_bytes: expected numbers");
-    }
-    config.per_sender_packet_bytes.push_back(
-        static_cast<std::size_t>(bytes.as_u64()));
-  }
-  if (!parse_topology(topology, config.topology)) {
-    return "config: unknown topology \"" + topology + "\"";
-  }
-  if (!parse_density_model(density_model, config.density_model)) {
-    return "config: unknown density_model \"" + density_model + "\"";
-  }
-  return config;
+  return decode<runner::ExperimentConfig>(doc, "config");
 }
 
 // --- ExperimentResult ------------------------------------------------------
 
 void write_result(util::JsonWriter& json,
                   const runner::ExperimentResult& result) {
-  json.begin_object();
-  json.member("packets_offered", result.packets_offered);
-  json.member("aff_delivered", result.aff_delivered);
-  json.member("truth_delivered", result.truth_delivered);
-  json.member("checksum_failures", result.checksum_failures);
-  json.member("conflicting_writes", result.conflicting_writes);
-  json.member("notifications_sent", result.notifications_sent);
-  json.member("receiver_density_estimate", result.receiver_density_estimate);
-  json.member("tx_energy_nj", result.tx_energy_nj);
-  json.member("tx_bits", result.tx_bits);
-  json.member("frames_attempted", result.frames_attempted);
-  json.member("frames_lost_channel", result.frames_lost_channel);
-  write_metrics(json, result.metrics);
-  write_size_map(json, "aff_by_size", result.aff_by_size);
-  write_size_map(json, "truth_by_size", result.truth_by_size);
-  json.end_object();
+  util::write_json(json, result);
 }
 
 std::string encode_result(const runner::ExperimentResult& result) {
-  util::JsonWriter json(/*pretty=*/false);
-  write_result(json, result);
-  return json.str();
+  return util::to_json(result);
 }
 
 util::Result<runner::ExperimentResult, std::string> decode_result(
     const util::JsonValue& doc) {
-  if (!doc.is_object()) return std::string("result: expected object");
-  runner::ExperimentResult result;
-  std::string err;
-  if (!get_u64(doc, "packets_offered", result.packets_offered, err) ||
-      !get_u64(doc, "aff_delivered", result.aff_delivered, err) ||
-      !get_u64(doc, "truth_delivered", result.truth_delivered, err) ||
-      !get_u64(doc, "checksum_failures", result.checksum_failures, err) ||
-      !get_u64(doc, "conflicting_writes", result.conflicting_writes, err) ||
-      !get_u64(doc, "notifications_sent", result.notifications_sent, err) ||
-      !get_dbl(doc, "receiver_density_estimate",
-               result.receiver_density_estimate, err) ||
-      !get_dbl(doc, "tx_energy_nj", result.tx_energy_nj, err) ||
-      !get_u64(doc, "tx_bits", result.tx_bits, err) ||
-      !get_u64(doc, "frames_attempted", result.frames_attempted, err) ||
-      !get_u64(doc, "frames_lost_channel", result.frames_lost_channel, err) ||
-      !decode_metrics(doc, result.metrics, err) ||
-      !decode_size_map(doc, "aff_by_size", result.aff_by_size, err) ||
-      !decode_size_map(doc, "truth_by_size", result.truth_by_size, err)) {
-    return "result: " + err;
-  }
-  return result;
+  return decode<runner::ExperimentResult>(doc, "result");
 }
 
 util::Result<runner::ExperimentResult, std::string> decode_result_text(
@@ -465,138 +64,16 @@ util::Result<runner::ExperimentResult, std::string> decode_result_text(
 // --- SweepSpec -------------------------------------------------------------
 
 void write_sweep_spec(util::JsonWriter& json, const runner::SweepSpec& spec) {
-  json.begin_object();
-  json.member("name", spec.name);
-  json.member("description", spec.description);
-  json.member("trials", spec.trials);
-  json.key("base");
-  write_config(json, spec.base);
-  json.key("id_bits");
-  json.begin_array();
-  for (const unsigned bits : spec.id_bits) json.value(bits);
-  json.end_array();
-  json.key("selectors");
-  json.begin_array();
-  for (const core::SelectorSpec& selector : spec.selectors) {
-    write_selector(json, selector);
-  }
-  json.end_array();
-  json.key("attackers");
-  json.begin_array();
-  for (const fault::AttackerMode mode : spec.attackers) {
-    json.value(fault::to_string(mode));
-  }
-  json.end_array();
-  json.key("senders");
-  json.begin_array();
-  for (const std::size_t senders : spec.senders) {
-    json.value(static_cast<std::uint64_t>(senders));
-  }
-  json.end_array();
-  json.key("duties");
-  json.begin_array();
-  for (const double duty : spec.duties) json.value(duty);
-  json.end_array();
-  json.key("density_models");
-  json.begin_array();
-  for (const core::DensityModelKind kind : spec.density_models) {
-    json.value(runner::to_string(kind));
-  }
-  json.end_array();
-  json.key("channels");
-  json.begin_array();
-  for (const std::string& channel : spec.channels) json.value(channel);
-  json.end_array();
-  json.key("loss_rates");
-  json.begin_array();
-  for (const double rate : spec.loss_rates) json.value(rate);
-  json.end_array();
-  json.end_object();
+  util::write_json(json, spec);
 }
 
 std::string encode_sweep_spec(const runner::SweepSpec& spec) {
-  util::JsonWriter json(/*pretty=*/false);
-  write_sweep_spec(json, spec);
-  return json.str();
+  return util::to_json(spec);
 }
 
 util::Result<runner::SweepSpec, std::string> decode_sweep_spec(
     const util::JsonValue& doc) {
-  if (!doc.is_object()) return std::string("spec: expected object");
-  runner::SweepSpec spec;
-  std::string err;
-  std::uint64_t trials = 0;
-  const util::JsonValue* id_bits = nullptr;
-  const util::JsonValue* selectors = nullptr;
-  const util::JsonValue* attackers = nullptr;
-  const util::JsonValue* senders = nullptr;
-  const util::JsonValue* duties = nullptr;
-  const util::JsonValue* density_models = nullptr;
-  const util::JsonValue* channels = nullptr;
-  const util::JsonValue* loss_rates = nullptr;
-  if (!get_str(doc, "name", spec.name, err) ||
-      !get_str(doc, "description", spec.description, err) ||
-      !get_u64(doc, "trials", trials, err) ||
-      !get_array(doc, "id_bits", id_bits, err) ||
-      !get_array(doc, "selectors", selectors, err) ||
-      !get_array(doc, "attackers", attackers, err) ||
-      !get_array(doc, "senders", senders, err) ||
-      !get_array(doc, "duties", duties, err) ||
-      !get_array(doc, "density_models", density_models, err) ||
-      !get_array(doc, "channels", channels, err) ||
-      !get_array(doc, "loss_rates", loss_rates, err)) {
-    return "spec: " + err;
-  }
-  spec.trials = static_cast<unsigned>(trials);
-  const util::JsonValue* base = doc.find("base");
-  if (base == nullptr) return std::string("spec: field \"base\": missing");
-  auto config = decode_config(*base);
-  if (!config.ok()) return "spec: " + config.error();
-  spec.base = std::move(config).value();
-  for (const util::JsonValue& v : id_bits->items()) {
-    if (!v.is_number()) return std::string("spec: id_bits: expected numbers");
-    spec.id_bits.push_back(static_cast<unsigned>(v.as_u64()));
-  }
-  for (const util::JsonValue& v : selectors->items()) {
-    core::SelectorSpec selector;
-    if (!decode_selector(v, selector, err)) {
-      return "spec: selectors: " + err;
-    }
-    spec.selectors.push_back(selector);
-  }
-  for (const util::JsonValue& v : attackers->items()) {
-    fault::AttackerMode mode = fault::AttackerMode::kOff;
-    if (!v.is_string() || !parse_attacker_mode(v.as_string(), mode)) {
-      return std::string("spec: attackers: unknown mode");
-    }
-    spec.attackers.push_back(mode);
-  }
-  for (const util::JsonValue& v : senders->items()) {
-    if (!v.is_number()) return std::string("spec: senders: expected numbers");
-    spec.senders.push_back(static_cast<std::size_t>(v.as_u64()));
-  }
-  for (const util::JsonValue& v : duties->items()) {
-    if (!v.is_number()) return std::string("spec: duties: expected numbers");
-    spec.duties.push_back(v.as_double());
-  }
-  for (const util::JsonValue& v : density_models->items()) {
-    core::DensityModelKind kind = core::DensityModelKind::kEwma;
-    if (!v.is_string() || !parse_density_model(v.as_string(), kind)) {
-      return std::string("spec: density_models: unknown model");
-    }
-    spec.density_models.push_back(kind);
-  }
-  for (const util::JsonValue& v : channels->items()) {
-    if (!v.is_string()) return std::string("spec: channels: expected strings");
-    spec.channels.push_back(v.as_string());
-  }
-  for (const util::JsonValue& v : loss_rates->items()) {
-    if (!v.is_number()) {
-      return std::string("spec: loss_rates: expected numbers");
-    }
-    spec.loss_rates.push_back(v.as_double());
-  }
-  return spec;
+  return decode<runner::SweepSpec>(doc, "spec");
 }
 
 // --- Job checkpoints -------------------------------------------------------
@@ -612,13 +89,7 @@ std::string encode_checkpoint(const JobCheckpoint& checkpoint) {
   json.begin_object();
   json.member("schema", "retri.serve-checkpoint");
   json.member("schema_version", 1);
-  json.member("spec_hash", checkpoint.spec_hash);
-  json.key("spec");
-  write_sweep_spec(json, checkpoint.spec);
-  json.key("done");
-  json.begin_array();
-  for (const std::uint64_t cell : checkpoint.done) json.value(cell);
-  json.end_array();
+  util::write_fields(json, checkpoint);
   json.end_object();
   return json.str();
 }
@@ -632,25 +103,7 @@ util::Result<JobCheckpoint, std::string> decode_checkpoint(
       doc.i64("schema_version") != 1) {
     return std::string("checkpoint: unrecognized schema");
   }
-  JobCheckpoint checkpoint;
-  std::string err;
-  const util::JsonValue* done = nullptr;
-  if (!get_str(doc, "spec_hash", checkpoint.spec_hash, err) ||
-      !get_array(doc, "done", done, err)) {
-    return "checkpoint: " + err;
-  }
-  const util::JsonValue* spec = doc.find("spec");
-  if (spec == nullptr) return std::string("checkpoint: field \"spec\": missing");
-  auto decoded = decode_sweep_spec(*spec);
-  if (!decoded.ok()) return "checkpoint: " + decoded.error();
-  checkpoint.spec = std::move(decoded).value();
-  for (const util::JsonValue& cell : done->items()) {
-    if (!cell.is_number()) {
-      return std::string("checkpoint: done: expected numbers");
-    }
-    checkpoint.done.push_back(cell.as_u64());
-  }
-  return checkpoint;
+  return decode<JobCheckpoint>(doc, "checkpoint");
 }
 
 }  // namespace retri::serve

@@ -2,7 +2,7 @@
 //
 // Everything the daemon stores or streams — cache bodies, job checkpoints,
 // sweep submissions — round-trips through these functions, so they are held
-// to a stricter standard than the display-oriented ResultSink:
+// to a stricter standard than ResultSink's display-oriented trial records:
 //   - encode/decode is lossless for every field, including 64-bit seeds and
 //     nanosecond durations (serialized as integer ns, never floating
 //     seconds) and doubles (shortest-form to_chars, re-parsed exactly by
@@ -14,6 +14,10 @@
 //   - decoders are strict (Result-returning): a missing or wrong-kind field
 //     is an error, never a silent default, because a cache body that decodes
 //     "close enough" is exactly the stale-result bug the cache must not have.
+// No field is named here: each function walks its struct's own field list
+// (ExperimentConfig::fields and friends, see util/json_fields.hpp), the
+// same list runner::ResultSink writes each point's config with. The bytes
+// are pinned by a test against kCodeVersion.
 #pragma once
 
 #include <string>
@@ -67,6 +71,15 @@ struct JobCheckpoint {
   std::string spec_hash;  // stable hash of the encoded spec (file name stem)
   runner::SweepSpec spec;
   std::vector<std::uint64_t> done;
+
+  /// Wire fields in wire order (util/json_fields.hpp), after the schema
+  /// header.
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f("spec_hash", s.spec_hash);
+    f("spec", s.spec);
+    f("done", s.done);
+  }
 };
 
 std::string encode_checkpoint(const JobCheckpoint& checkpoint);

@@ -1,12 +1,13 @@
-// runner::JsonWriter — the hand-rolled emitter behind BENCH_*.json.
+// util::JsonWriter — the hand-rolled emitter behind every JSON artifact
+// (sweep results, traces, chaos soaks) and the serve codec.
 #include <cmath>
 #include <limits>
 
 #include <gtest/gtest.h>
 
-#include "runner/json.hpp"
+#include "util/json.hpp"
 
-using retri::runner::JsonWriter;
+using retri::util::JsonWriter;
 
 TEST(JsonWriter, CompactObject) {
   JsonWriter json;

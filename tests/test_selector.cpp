@@ -196,15 +196,18 @@ TEST(ListeningSelector, NameIsThePolicyFamilyOnly) {
 
 TEST(MakeSelector, BuildsEachPolicy) {
   const IdSpace space(8);
-  EXPECT_EQ(make_selector("uniform", space, 1)->name(), "uniform");
-  EXPECT_EQ(make_selector("listening", space, 1)->name(), "listening");
-  EXPECT_EQ(make_selector("listening+notify", space, 1)->name(), "listening");
-  EXPECT_EQ(make_selector("counter", space, 1)->name(), "counter");
-  EXPECT_EQ(make_selector("hashed_counter", space, 1)->name(),
-            "hashed_counter");
-  EXPECT_EQ(make_selector("permutation", space, 1)->name(), "permutation");
-  EXPECT_EQ(make_selector("hybrid", space, 1)->name(), "hybrid");
-  EXPECT_THROW((void)make_selector("bogus", space, 1), std::invalid_argument);
+  const auto built_name = [&space](std::string_view name) {
+    const auto spec = parse_selector_spec(name);
+    EXPECT_TRUE(spec.ok()) << name;
+    return std::string(make_selector(spec.value(), space, 1)->name());
+  };
+  EXPECT_EQ(built_name("uniform"), "uniform");
+  EXPECT_EQ(built_name("listening"), "listening");
+  EXPECT_EQ(built_name("listening+notify"), "listening");
+  EXPECT_EQ(built_name("counter"), "counter");
+  EXPECT_EQ(built_name("hashed_counter"), "hashed_counter");
+  EXPECT_EQ(built_name("permutation"), "permutation");
+  EXPECT_EQ(built_name("hybrid"), "hybrid");
 }
 
 TEST(MakeSelector, UnknownNameErrorListsEveryPolicy) {

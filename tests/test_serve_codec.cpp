@@ -5,12 +5,19 @@
 // bit-identical-serving guarantee rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "runner/experiment.hpp"
+#include "runner/result_sink.hpp"
+#include "runner/seeds.hpp"
 #include "runner/sweep.hpp"
+#include "serve/cache.hpp"
 #include "serve/codec.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -125,11 +132,16 @@ TEST(ServeCodec, CanonicalCellChangesWithTheSeed) {
 TEST(ServeCodec, ConfigDecodeIsStrict) {
   // Removing any field must fail with an error naming the field — a cache
   // body that decodes "close enough" is a stale-result bug.
-  const auto doc = util::parse_json(R"({"senders":5,"topology":"nowhere"})");
+  const auto doc = util::parse_json(serve::canonical_cell(gnarly_config()));
   ASSERT_TRUE(doc.ok());
-  const auto missing = serve::decode_config(doc.value());
+  std::vector<std::pair<std::string, util::JsonValue>> members;
+  for (const auto& member : doc.value().members()) {
+    if (member.first != "selector") members.push_back(member);
+  }
+  const auto missing =
+      serve::decode_config(util::JsonValue::object(std::move(members)));
   ASSERT_FALSE(missing.ok());
-  // The nested selector object is decoded first, so it is named first.
+  // A missing nested object is named like any other field.
   EXPECT_NE(missing.error().find("selector"), std::string::npos);
 
   // With the nested objects present, a missing scalar is still named.
@@ -142,6 +154,28 @@ TEST(ServeCodec, ConfigDecodeIsStrict) {
   const auto scalar = serve::decode_config(redoc.value());
   ASSERT_FALSE(scalar.ok());
   EXPECT_NE(scalar.error().find("id_bits"), std::string::npos);
+}
+
+TEST(ServeCodec, ConfigDecodeRejectsNonIntegerAndOutOfRangeNumbers) {
+  // An integer field must hold a whole token that fits its member: a
+  // fraction, a negative count or a 33-bit id width is an error, not a
+  // silent 0 or a truncation.
+  const std::string cell = serve::canonical_cell(gnarly_config());
+  const auto with_id_bits = [&cell](std::string_view token) {
+    std::string body = cell;
+    const std::string key = "\"id_bits\":";
+    const std::size_t at = body.find(key) + key.size();
+    body.replace(at, body.find(',', at) - at, token);
+    const auto doc = util::parse_json(body);
+    EXPECT_TRUE(doc.ok()) << body;
+    return serve::decode_config(doc.value());
+  };
+  EXPECT_TRUE(with_id_bits("12").ok());
+  for (const std::string_view bad : {"1.5", "-3", "4294967296", "1e1"}) {
+    const auto decoded = with_id_bits(bad);
+    ASSERT_FALSE(decoded.ok()) << bad;
+    EXPECT_NE(decoded.error().find("id_bits"), std::string::npos) << bad;
+  }
 }
 
 TEST(ServeCodec, ResultRoundTripsByteIdentically) {
@@ -200,6 +234,111 @@ TEST(ServeCodec, CheckpointRoundTripsAndHashesStably) {
 
   EXPECT_FALSE(serve::decode_checkpoint("not json").ok());
   EXPECT_FALSE(serve::decode_checkpoint(R"({"schema":"wrong"})").ok());
+}
+
+namespace {
+
+/// FNV-1a-64 folded over a sequence of documents, each terminated by '\n'.
+class BytesDigest {
+ public:
+  void add(std::string_view document) {
+    for (const char c : document) mix(static_cast<unsigned char>(c));
+    mix('\n');
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void mix(unsigned char c) {
+    h_ ^= c;
+    h_ *= 0x100000001b3ULL;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+}  // namespace
+
+TEST(ServeCodec, CanonicalBytesArePinnedToTheCodeVersion) {
+  // Cache keys hash kCodeVersion with canonical_cell, and durable stores
+  // and job checkpoints are trusted across restarts only while the code
+  // version matches. These constants pin the codec's exact bytes: ANY
+  // change to them must bump serve::kCodeVersion in the same change (and
+  // then update both together).
+  EXPECT_EQ(serve::kCodeVersion, std::string_view("retri-sim-v2"));
+
+  // Every trial cell of every named sweep, seeded as Server::submit does.
+  BytesDigest cells;
+  BytesDigest specs;
+  BytesDigest checkpoints;
+  for (const std::string_view name : runner::named_sweeps()) {
+    const auto spec = runner::make_named_sweep(name);
+    ASSERT_TRUE(spec.ok()) << spec.error();
+    specs.add(serve::encode_sweep_spec(spec.value()));
+    serve::JobCheckpoint checkpoint;
+    checkpoint.spec = spec.value();
+    checkpoint.spec_hash = serve::spec_hash(checkpoint.spec);
+    checkpoint.done = {0, 2, 3};
+    checkpoints.add(serve::encode_checkpoint(checkpoint));
+    const unsigned trials = std::max(1u, spec.value().trials);
+    for (const runner::SweepPoint& point : spec.value().expand()) {
+      for (unsigned t = 0; t < trials; ++t) {
+        runner::ExperimentConfig config = point.config;
+        config.seed = runner::derive_trial_seed(point.config.seed, t);
+        cells.add(serve::canonical_cell(config));
+      }
+    }
+  }
+  EXPECT_EQ(cells.value(), 0xf2135ec3159522beULL);
+  EXPECT_EQ(specs.value(), 0xb71830ac96a95ebcULL);
+  EXPECT_EQ(checkpoints.value(), 0x731104741c8e9659ULL);
+
+  // One simulated result. Its two floating-point fields are replaced by
+  // fixed values: like runner::fingerprint, the pin must not depend on the
+  // last ulp of a float the compiler may contract differently.
+  runner::ExperimentConfig config;
+  config.senders = 3;
+  config.send_duration = retri::sim::Duration::seconds(2);
+  runner::ExperimentResult result = runner::run_experiment(config);
+  result.receiver_density_estimate = 2.75;
+  result.tx_energy_nj = 1234.5625;
+  BytesDigest body;
+  body.add(serve::encode_result(result));
+  EXPECT_EQ(body.value(), 0xd653070806e6d6acULL);
+}
+
+TEST(ResultSinkConfig, PointConfigRecordsAreLossless) {
+  // A sweep artifact's per-point config record is the canonical encoding:
+  // the shared reader gives back exactly the config that ran, including
+  // the listening parameters of a hybrid selector and an active attacker.
+  runner::SweepSpec spec;
+  spec.name = "lossless-configs";
+  spec.trials = 1;
+  spec.base.senders = 2;
+  spec.base.send_duration = retri::sim::Duration::milliseconds(300);
+  spec.base.drain_extra = retri::sim::Duration::milliseconds(200);
+  spec.base.attacker.echo_delay = retri::sim::Duration::nanoseconds(333);
+  retri::core::SelectorSpec hybrid = retri::core::hybrid_selector(40);
+  hybrid.listening.heed_notifications = true;
+  hybrid.listening.fixed_window = 5;
+  spec.selectors = {retri::core::uniform_selector(), hybrid};
+  spec.attackers = {retri::fault::AttackerMode::kOff,
+                    retri::fault::AttackerMode::kEchoCollide};
+  const runner::SweepResult result = runner::SweepRunner().run(spec);
+
+  const auto doc = util::parse_json(runner::ResultSink::to_json(result));
+  ASSERT_TRUE(doc.ok());
+  const util::JsonValue* points = doc.value().find("points");
+  ASSERT_NE(points, nullptr);
+  ASSERT_EQ(points->size(), result.points.size());
+  for (std::size_t p = 0; p < result.points.size(); ++p) {
+    const runner::SweepPointResult& point = result.points[p];
+    const util::JsonValue* record = (*points)[p].find("config");
+    ASSERT_NE(record, nullptr) << point.label;
+    const auto decoded = serve::decode_config(*record);
+    ASSERT_TRUE(decoded.ok()) << point.label << ": " << decoded.error();
+    EXPECT_EQ(serve::canonical_cell(decoded.value()),
+              serve::canonical_cell(point.config))
+        << point.label;
+  }
 }
 
 TEST(ServeProtocol, RequestAndResponseBodiesRoundTrip) {

@@ -295,7 +295,7 @@ TEST_F(ServeServerTest, ResultSinkV5EmitsServeProvenanceOnlyWhenAsked) {
 
   const auto doc = retri::util::parse_json(annotated);
   ASSERT_TRUE(doc.ok()) << doc.error().describe();
-  EXPECT_EQ(doc.value().i64("schema_version"), 5);
+  EXPECT_EQ(doc.value().i64("schema_version"), 6);
   EXPECT_EQ(doc.value().str("served_by"), "abc123def456-1");
   const retri::util::JsonValue* points = doc.value().find("points");
   ASSERT_NE(points, nullptr);

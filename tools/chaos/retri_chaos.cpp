@@ -29,10 +29,10 @@
 #include "fault/chaos.hpp"
 #include "obs/export.hpp"
 #include "runner/chaos_soak.hpp"
-#include "runner/json.hpp"
 #include "runner/seeds.hpp"
 #include "serve/chaos_cells.hpp"
 #include "serve/fault_soak.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -182,7 +182,7 @@ int parse_args(int argc, char** argv, Args& args) {
 /// and everything here must be identical between them.
 std::string serve_fault_json(const Args& args,
                              const retri::serve::ServeFaultSoakReport& report) {
-  retri::runner::JsonWriter json(/*pretty=*/true);
+  retri::util::JsonWriter json(/*pretty=*/true);
   json.begin_object();
   json.member("schema", "retri.serve-fault-soak");
   json.member("schema_version", 1);
@@ -264,7 +264,7 @@ int run_serve_faults(const Args& args) {
 std::string soak_json(
     const Args& args,
     const std::vector<retri::serve::ChaosCellRecord>& records) {
-  retri::runner::JsonWriter json(/*pretty=*/true);
+  retri::util::JsonWriter json(/*pretty=*/true);
   json.begin_object();
   json.member("schema", "retri.chaos-soak");
   json.member("schema_version", 1);
