@@ -102,6 +102,9 @@ void ResultCache::put(const std::string& key, std::string kind,
   const auto existing = index_.find(key);
   if (existing != index_.end()) drop(key, /*unlink=*/false);
 
+  // A body moved out of a JsonWriter (encode_result) can hold up to twice
+  // its size in capacity; the byte budget counts size, so the slack goes.
+  body.shrink_to_fit();
   lru_.push_front(key);
   Slot slot;
   slot.lru = lru_.begin();
@@ -160,7 +163,8 @@ void ResultCache::persist(const std::string& key, const Slot& slot) {
   // Atomic replace (temp + fsync + rename): a crash mid-persist can tear
   // the *.tmp, never the entry under its final name. op_key = cache key, so
   // injected faults are content-addressed and jobs-invariant.
-  auto written = atomic_write_file(path.string(), json.str() + "\n", key,
+  auto written = atomic_write_file(path.string(),
+                                   std::move(json).take() + "\n", key,
                                    options_.io_faults);
   if (!written.ok()) {
     // The entry stays memory-only; the next restart simply misses on it.

@@ -45,7 +45,7 @@ std::string encode_chaos_record(const ChaosCellRecord& record) {
   json.end_array();
   json.member("fingerprint", record.fingerprint);
   json.end_object();
-  return json.str();
+  return std::move(json).take();
 }
 
 util::Result<ChaosCellRecord, std::string> decode_chaos_record(
@@ -92,7 +92,7 @@ std::string canonical_chaos_cell(const fault::ChaosTrialConfig& config) {
   json.member("drain_ns", config.drain_extra.ns());
   json.member("seed", config.seed);
   json.end_object();
-  return json.str();
+  return std::move(json).take();
 }
 
 CachedChaosSoak run_cached_chaos_soak(const fault::ChaosTrialConfig& base,

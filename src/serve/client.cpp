@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "runner/trial_runner.hpp"
 #include "serve/io.hpp"
@@ -130,7 +132,7 @@ util::Result<int, ClientError> send_message(Session& session,
                     std::string("send: ") + std::strerror(out.err));
 }
 
-util::Result<util::JsonValue, ClientError> read_message(
+util::Result<util::JsonDocument, ClientError> read_message(
     Session& session, std::uint64_t deadline_at_ms) {
   std::string body;
   while (true) {
@@ -260,6 +262,7 @@ util::Result<ServedSweep, ClientError> attempt_sweep(
   served.result.points.resize(points.size());
   served.cache_info.assign(points.size(),
                            std::vector<TrialCacheInfo>(trials));
+  std::vector<bool> seen(points.size() * trials, false);
   for (std::size_t p = 0; p < points.size(); ++p) {
     served.result.points[p].label = points[p].label;
     served.result.points[p].config = points[p].config;
@@ -278,6 +281,13 @@ util::Result<ServedSweep, ClientError> attempt_sweep(
         return make_error(Kind::kProtocol,
                           "trial event outside the submitted grid");
       }
+      if (seen[ev.point * trials + ev.trial]) {
+        return make_error(Kind::kProtocol,
+                          "second trial event for point " +
+                              std::to_string(ev.point) + " trial " +
+                              std::to_string(ev.trial));
+      }
+      seen[ev.point * trials + ev.trial] = true;
       served.result.points[ev.point].trials[ev.trial] = std::move(ev.result);
       served.cache_info[ev.point][ev.trial] =
           TrialCacheInfo{ev.cache_hit, std::move(ev.key)};

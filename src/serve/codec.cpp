@@ -24,11 +24,6 @@ util::Result<T, std::string> decode(const util::JsonValue& doc,
 
 // --- ExperimentConfig ------------------------------------------------------
 
-void write_config(util::JsonWriter& json,
-                  const runner::ExperimentConfig& config) {
-  util::write_json(json, config);
-}
-
 std::string canonical_cell(const runner::ExperimentConfig& config) {
   return util::to_json(config);
 }
@@ -91,7 +86,7 @@ std::string encode_checkpoint(const JobCheckpoint& checkpoint) {
   json.member("schema_version", 1);
   util::write_fields(json, checkpoint);
   json.end_object();
-  return json.str();
+  return std::move(json).take();
 }
 
 util::Result<JobCheckpoint, std::string> decode_checkpoint(

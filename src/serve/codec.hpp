@@ -33,9 +33,6 @@ namespace retri::serve {
 
 // --- ExperimentConfig ------------------------------------------------------
 
-/// Writes `config` as an object value (all fields, fixed order).
-void write_config(util::JsonWriter& json, const runner::ExperimentConfig& config);
-
 /// Compact one-line rendering of `config`; with the trial seed already
 /// substituted this is the canonical cell fed to ResultCache::make_key.
 std::string canonical_cell(const runner::ExperimentConfig& config);

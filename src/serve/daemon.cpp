@@ -136,7 +136,7 @@ util::Result<int, std::string> run_daemon(const DaemonOptions& options) {
   bool stopping = false;
 
   const auto send_body = [](Connection& conn, const std::string& body) {
-    conn.outbound += encode_frame(body);
+    append_frame(conn.outbound, body);
   };
 
   // Routes queued server events to the connection that owns each job.

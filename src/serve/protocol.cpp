@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "util/json.hpp"
+#include "util/json_fields.hpp"
 
 namespace retri::serve {
 
@@ -15,6 +16,44 @@ util::JsonWriter typed(std::string_view type) {
   return json;
 }
 
+/// A `type` message whose other members are T's field list.
+template <class T>
+std::string encode_message(std::string_view type, const T& body) {
+  util::JsonWriter json = typed(type);
+  util::write_fields(json, body);
+  json.end_object();
+  return std::move(json).take();
+}
+
+/// Reads a `type` message through T's field list. Every listed field must
+/// be present with the right kind; the error names the first that is not.
+template <class T>
+std::string read_message(const util::JsonValue& doc, std::string_view type,
+                         T& out) {
+  if (message_type(doc) != type) {
+    return std::string(type) + ": wrong message type";
+  }
+  std::string err;
+  if (!util::read_json(doc, out, err)) return std::string(type) + ": " + err;
+  return {};
+}
+
+/// One of ServeEvent's two wire shapes, as the fields() list the walker
+/// expects.
+template <class Event, ServeEvent::Kind kKind>
+struct EventMessage {
+  Event& event;
+
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    if constexpr (kKind == ServeEvent::Kind::kTrial) {
+      ServeEvent::trial_fields(s.event, f);
+    } else {
+      ServeEvent::done_fields(s.event, f);
+    }
+  }
+};
+
 }  // namespace
 
 std::string encode_submit(const runner::SweepSpec& spec) {
@@ -22,93 +61,54 @@ std::string encode_submit(const runner::SweepSpec& spec) {
   json.key("spec");
   write_sweep_spec(json, spec);
   json.end_object();
-  return json.str();
+  return std::move(json).take();
 }
 
 std::string encode_status_request() {
   util::JsonWriter json = typed("status");
   json.end_object();
-  return json.str();
+  return std::move(json).take();
 }
 
 std::string encode_shutdown() {
   util::JsonWriter json = typed("shutdown");
   json.end_object();
-  return json.str();
+  return std::move(json).take();
 }
 
 std::string encode_accepted(const Submitted& submitted) {
-  util::JsonWriter json = typed("accepted");
-  json.member("job", submitted.job_id);
-  json.member("points", static_cast<std::uint64_t>(submitted.points));
-  json.member("trials", submitted.trials);
-  json.member("cells", submitted.cells);
-  json.end_object();
-  return json.str();
+  return encode_message("accepted", submitted);
 }
 
 std::string encode_rejected(const Rejection& rejection) {
-  util::JsonWriter json = typed("rejected");
-  json.member("reason", rejection.reason);
-  json.member("retry_after_ms", rejection.retry_after_ms);
-  json.end_object();
-  return json.str();
+  return encode_message("rejected", rejection);
 }
 
 std::string encode_event(const ServeEvent& event) {
   if (event.kind == ServeEvent::Kind::kTrial) {
-    util::JsonWriter json = typed("trial");
-    json.member("job", event.job_id);
-    json.member("cell", event.cell);
-    json.member("point", static_cast<std::uint64_t>(event.point));
-    json.member("trial", event.trial);
-    json.member("label", event.label);
-    json.member("cache_hit", event.cache_hit);
-    json.member("key", event.key);
-    json.key("result");
-    write_result(json, event.result);
-    json.end_object();
-    return json.str();
+    return encode_message(
+        "trial",
+        EventMessage<const ServeEvent, ServeEvent::Kind::kTrial>{event});
   }
-  util::JsonWriter json = typed("done");
-  json.member("job", event.job_id);
-  json.member("cells", event.cells);
-  json.member("hits", event.hits);
-  json.member("misses", event.misses);
-  json.member("error", event.error);
-  json.end_object();
-  return json.str();
+  return encode_message(
+      "done", EventMessage<const ServeEvent, ServeEvent::Kind::kJobDone>{event});
 }
 
 std::string encode_status(const ServerStatus& status) {
-  util::JsonWriter json = typed("status");
-  json.member("jobs_active", status.jobs_active);
-  json.member("jobs_submitted", status.jobs_submitted);
-  json.member("jobs_completed", status.jobs_completed);
-  json.member("jobs_rejected", status.jobs_rejected);
-  json.member("queue_depth", status.queue_depth);
-  json.member("events_pending", status.events_pending);
-  json.member("cache_entries", status.cache_entries);
-  json.member("cache_bytes", status.cache_bytes);
-  json.member("cache_hits", status.cache_hits);
-  json.member("cache_misses", status.cache_misses);
-  json.member("cache_quarantined", status.cache_quarantined);
-  json.member("connections_active", status.connections_active);
-  json.end_object();
-  return json.str();
+  return encode_message("status", status);
 }
 
 std::string encode_error(std::string_view message) {
   util::JsonWriter json = typed("error");
   json.member("message", message);
   json.end_object();
-  return json.str();
+  return std::move(json).take();
 }
 
 std::string encode_bye() {
   util::JsonWriter json = typed("bye");
   json.end_object();
-  return json.str();
+  return std::move(json).take();
 }
 
 std::string message_type(const util::JsonValue& doc) {
@@ -117,53 +117,42 @@ std::string message_type(const util::JsonValue& doc) {
 
 util::Result<Submitted, std::string> decode_accepted(
     const util::JsonValue& doc) {
-  if (message_type(doc) != "accepted") {
-    return std::string("accepted: wrong message type");
-  }
   Submitted submitted;
-  submitted.job_id = doc.str("job");
-  submitted.points = static_cast<std::size_t>(doc.u64("points"));
-  submitted.trials = static_cast<unsigned>(doc.u64("trials"));
-  submitted.cells = doc.u64("cells");
+  if (std::string err = read_message(doc, "accepted", submitted);
+      !err.empty()) {
+    return err;
+  }
   if (submitted.job_id.empty()) return std::string("accepted: missing job id");
   return submitted;
 }
 
 util::Result<Rejection, std::string> decode_rejected(
     const util::JsonValue& doc) {
-  if (message_type(doc) != "rejected") {
-    return std::string("rejected: wrong message type");
+  Rejection rejection;
+  if (std::string err = read_message(doc, "rejected", rejection);
+      !err.empty()) {
+    return err;
   }
-  return Rejection{doc.str("reason"), doc.u64("retry_after_ms")};
+  return rejection;
 }
 
 util::Result<ServeEvent, std::string> decode_event(const util::JsonValue& doc) {
   const std::string type = message_type(doc);
+  ServeEvent event;
   if (type == "trial") {
-    ServeEvent event;
     event.kind = ServeEvent::Kind::kTrial;
-    event.job_id = doc.str("job");
-    event.cell = doc.u64("cell");
-    event.point = static_cast<std::size_t>(doc.u64("point"));
-    event.trial = static_cast<unsigned>(doc.u64("trial"));
-    event.label = doc.str("label");
-    event.cache_hit = doc.boolean("cache_hit");
-    event.key = doc.str("key");
-    const util::JsonValue* result = doc.find("result");
-    if (result == nullptr) return std::string("trial: missing result");
-    auto decoded = decode_result(*result);
-    if (!decoded.ok()) return "trial: " + decoded.error();
-    event.result = std::move(decoded).value();
+    EventMessage<ServeEvent, ServeEvent::Kind::kTrial> message{event};
+    if (std::string err = read_message(doc, "trial", message); !err.empty()) {
+      return err;
+    }
     return event;
   }
   if (type == "done") {
-    ServeEvent event;
     event.kind = ServeEvent::Kind::kJobDone;
-    event.job_id = doc.str("job");
-    event.cells = doc.u64("cells");
-    event.hits = doc.u64("hits");
-    event.misses = doc.u64("misses");
-    event.error = doc.str("error");
+    EventMessage<ServeEvent, ServeEvent::Kind::kJobDone> message{event};
+    if (std::string err = read_message(doc, "done", message); !err.empty()) {
+      return err;
+    }
     return event;
   }
   return "event: unexpected message type \"" + type + "\"";
@@ -171,22 +160,10 @@ util::Result<ServeEvent, std::string> decode_event(const util::JsonValue& doc) {
 
 util::Result<ServerStatus, std::string> decode_status(
     const util::JsonValue& doc) {
-  if (message_type(doc) != "status") {
-    return std::string("status: wrong message type");
-  }
   ServerStatus status;
-  status.jobs_active = doc.u64("jobs_active");
-  status.jobs_submitted = doc.u64("jobs_submitted");
-  status.jobs_completed = doc.u64("jobs_completed");
-  status.jobs_rejected = doc.u64("jobs_rejected");
-  status.queue_depth = doc.u64("queue_depth");
-  status.events_pending = doc.u64("events_pending");
-  status.cache_entries = doc.u64("cache_entries");
-  status.cache_bytes = doc.u64("cache_bytes");
-  status.cache_hits = doc.u64("cache_hits");
-  status.cache_misses = doc.u64("cache_misses");
-  status.cache_quarantined = doc.u64("cache_quarantined");
-  status.connections_active = doc.u64("connections_active");
+  if (std::string err = read_message(doc, "status", status); !err.empty()) {
+    return err;
+  }
   return status;
 }
 

@@ -37,6 +37,10 @@ std::string encode_error(std::string_view message);
 std::string encode_bye();
 
 // --- decoding --------------------------------------------------------------
+//
+// Strict, like the codec: each message is read through its field list
+// (Submitted, Rejection, ServeEvent, ServerStatus), so a missing or
+// wrong-kind member is an error naming it, never a silent 0.
 
 /// The "type" member, or empty for non-objects / missing type.
 std::string message_type(const util::JsonValue& doc);

@@ -86,6 +86,28 @@ struct ServeEvent {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::string error;  // non-empty if any cell failed (job incomplete)
+
+  /// Wire fields of a "trial" message (util/json_fields.hpp).
+  template <class Self, class F>
+  static void trial_fields(Self& s, F&& f) {
+    f("job", s.job_id);
+    f("cell", s.cell);
+    f("point", s.point);
+    f("trial", s.trial);
+    f("label", s.label);
+    f("cache_hit", s.cache_hit);
+    f("key", s.key);
+    f("result", s.result);
+  }
+  /// Wire fields of a "done" message.
+  template <class Self, class F>
+  static void done_fields(Self& s, F&& f) {
+    f("job", s.job_id);
+    f("cells", s.cells);
+    f("hits", s.hits);
+    f("misses", s.misses);
+    f("error", s.error);
+  }
 };
 
 struct Submitted {
@@ -93,11 +115,27 @@ struct Submitted {
   std::size_t points = 0;
   unsigned trials = 0;
   std::uint64_t cells = 0;
+
+  /// Wire fields of the "accepted" message (util/json_fields.hpp).
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f("job", s.job_id);
+    f("points", s.points);
+    f("trials", s.trials);
+    f("cells", s.cells);
+  }
 };
 
 struct Rejection {
   std::string reason;
   std::uint64_t retry_after_ms = 0;
+
+  /// Wire fields of the "rejected" message.
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f("reason", s.reason);
+    f("retry_after_ms", s.retry_after_ms);
+  }
 };
 
 struct ServerStatus {
@@ -115,6 +153,23 @@ struct ServerStatus {
   /// Open client connections. The socket-free Server always reports 0; the
   /// daemon overwrites this before encoding a status reply.
   std::uint64_t connections_active = 0;
+
+  /// Wire fields of the "status" reply.
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f("jobs_active", s.jobs_active);
+    f("jobs_submitted", s.jobs_submitted);
+    f("jobs_completed", s.jobs_completed);
+    f("jobs_rejected", s.jobs_rejected);
+    f("queue_depth", s.queue_depth);
+    f("events_pending", s.events_pending);
+    f("cache_entries", s.cache_entries);
+    f("cache_bytes", s.cache_bytes);
+    f("cache_hits", s.cache_hits);
+    f("cache_misses", s.cache_misses);
+    f("cache_quarantined", s.cache_quarantined);
+    f("connections_active", s.connections_active);
+  }
 };
 
 class Server {

@@ -5,15 +5,19 @@
 namespace retri::serve {
 
 std::string encode_frame(std::string_view body) {
-  const auto len = static_cast<std::uint32_t>(body.size());
   std::string frame;
-  frame.reserve(4 + body.size());
-  frame.push_back(static_cast<char>((len >> 24) & 0xff));
-  frame.push_back(static_cast<char>((len >> 16) & 0xff));
-  frame.push_back(static_cast<char>((len >> 8) & 0xff));
-  frame.push_back(static_cast<char>(len & 0xff));
-  frame.append(body);
+  append_frame(frame, body);
   return frame;
+}
+
+void append_frame(std::string& out, std::string_view body) {
+  const auto len = static_cast<std::uint32_t>(body.size());
+  const char prefix[4] = {static_cast<char>((len >> 24) & 0xff),
+                          static_cast<char>((len >> 16) & 0xff),
+                          static_cast<char>((len >> 8) & 0xff),
+                          static_cast<char>(len & 0xff)};
+  out.append(prefix, sizeof prefix);
+  out.append(body);
 }
 
 void FrameDecoder::feed(std::string_view bytes) {

@@ -30,6 +30,8 @@ inline constexpr std::size_t kMaxFrameBytes = 64u << 20;
 
 /// Renders `body` as one complete frame (prefix + body).
 std::string encode_frame(std::string_view body);
+/// Appends the frame for `body` to `out` (an outbound buffer).
+void append_frame(std::string& out, std::string_view body);
 
 /// Incremental frame reassembly over an untrusted byte stream.
 class FrameDecoder {

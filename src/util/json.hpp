@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace retri::util {
@@ -53,6 +54,8 @@ class JsonWriter {
 
   /// The document so far. Complete once every container is closed.
   const std::string& str() const noexcept { return out_; }
+  /// Moves the finished document out instead of copying it.
+  std::string take() && noexcept { return std::move(out_); }
 
  private:
   enum class Scope { kObject, kArray };

@@ -115,7 +115,7 @@ template <class T>
 std::string to_json(const T& v) {
   JsonWriter json(/*pretty=*/false);
   write_json(json, v);
-  return json.str();
+  return std::move(json).take();
 }
 
 /// Fills `out` from `doc`, or sets `err` (naming the offending field) and
@@ -135,7 +135,8 @@ bool read_json(const JsonValue& doc, T& out, std::string& err) {
     for (U i = 0;; ++i) {
       const std::string_view name = to_string(static_cast<T>(i));
       if (name == "?") {
-        return fail(err, "unknown value \"" + doc.as_string() + "\"");
+        return fail(err,
+                    "unknown value \"" + std::string(doc.as_string()) + "\"");
       }
       if (name == doc.as_string()) {
         out = static_cast<T>(i);
@@ -160,7 +161,8 @@ bool read_json(const JsonValue& doc, T& out, std::string& err) {
       v = doc.as_u64();
     }
     if ((v == 0 && doc.raw().size() != 1) || !std::in_range<T>(v)) {
-      return fail(err, "expected an integer in range, got " + doc.raw());
+      return fail(err,
+                  "expected an integer in range, got " + std::string(doc.raw()));
     }
     out = static_cast<T>(v);
   } else if constexpr (json_fields_detail::IsVector<T>::value) {
@@ -185,21 +187,19 @@ bool read_json(const JsonValue& doc, T& out, std::string& err) {
     if (!doc.is_object()) return fail(err, "expected object");
     bool ok = true;
     // Documents this walker wrote list the fields in order, so the member
-    // at the field's own position is tried before a scan.
-    std::size_t position = 0;
+    // after the last one read is tried before a scan.
+    const JsonMembers members = doc.members();
+    JsonMembers::iterator next = members.begin();
     T::fields(out, [&](std::string_view name, auto& member) {
       if (!ok) return;
-      const auto& members = doc.members();
-      const JsonValue* value = position < members.size() &&
-                                       members[position].first == name
-                                   ? &members[position].second
-                                   : doc.find(name);
-      ++position;
-      if (value == nullptr) {
+      JsonMembers::iterator at = next;
+      if (at == members.end() || at.key() != name) at = members.find(name);
+      if (at == members.end()) {
         err = "missing";
         ok = false;
       } else {
-        ok = read_json(*value, member, err);
+        ok = read_json(at.value(), member, err);
+        next = ++at;
       }
       if (!ok) err = "field \"" + std::string(name) + "\": " + err;
     });

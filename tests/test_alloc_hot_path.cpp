@@ -15,17 +15,23 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "aff/reassembler.hpp"
 #include "aff/wire.hpp"
 #include "obs/metrics.hpp"
+#include "runner/experiment.hpp"
+#include "serve/codec.hpp"
 #include "sim/engine.hpp"
 #include "sim/medium.hpp"
 #include "sim/topology.hpp"
 #include "util/alloc_hook.hpp"
 #include "util/bytes.hpp"
 #include "util/checksum.hpp"
+#include "util/json.hpp"
+#include "util/json_parse.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -240,6 +246,32 @@ TEST(AllocHotPath, SharedBytesClonesOnlyWhenSharedAndMutated) {
   const std::uint64_t before_unshared = util::alloc_count();
   payload.mutable_bytes()[1] ^= 0xff;
   EXPECT_EQ(util::alloc_count() - before_unshared, 0u);
+}
+
+// A parsed document is one heap block — its node tape and its own copy of
+// the text, escaped strings decoded in place — whatever the document's
+// size: a real result body, the same body escaped into a string the way a
+// cache entry stores it, and an array of eight bodies.
+TEST(AllocHotPath, ParseJsonIsOneAllocationPerDocument) {
+  runner::ExperimentConfig config;
+  config.senders = 3;
+  config.send_duration = sim::Duration::seconds(2);
+  const std::string body =
+      serve::encode_result(runner::run_experiment(config));
+  util::JsonWriter writer(/*pretty=*/false);
+  writer.begin_object().member("body", body).end_object();
+  const std::string escaped = std::move(writer).take();
+  std::string eight = "[" + body;
+  for (int i = 1; i < 8; ++i) eight += "," + body;
+  eight += "]";
+
+  for (const std::string& text : {body, escaped, eight}) {
+    const std::uint64_t before = util::alloc_count();
+    const auto doc = util::parse_json(text);
+    const std::uint64_t allocs = util::alloc_count() - before;
+    ASSERT_TRUE(doc.ok()) << doc.error().describe();
+    EXPECT_EQ(allocs, 1u) << "parsing " << text.size() << " bytes";
+  }
 }
 
 }  // namespace

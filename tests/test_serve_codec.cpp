@@ -105,6 +105,48 @@ runner::SweepSpec gnarly_spec() {
   return spec;
 }
 
+/// Where the key `"name":` and its value start in `message`, and where the
+/// value ends. Members before "result" hold no commas, braces or brackets
+/// inside strings, and "result" comes last, so the first `"name":` is the
+/// top-level key.
+struct MemberSpan {
+  std::size_t key = 0;
+  std::size_t value = 0;
+  std::size_t end = 0;
+};
+
+MemberSpan member_span(const std::string& message, std::string_view name) {
+  MemberSpan span;
+  span.key = message.find("\"" + std::string(name) + "\":");
+  EXPECT_NE(span.key, std::string::npos) << name;
+  span.value = span.key + name.size() + 3;
+  int depth = 0;
+  for (span.end = span.value; span.end < message.size(); ++span.end) {
+    const char c = message[span.end];
+    if (c == '{' || c == '[') ++depth;
+    if ((c == '}' || c == ']') && depth-- == 0) break;
+    if (c == ',' && depth == 0) break;
+  }
+  return span;
+}
+
+/// `message` minus its member `name` and the comma before it (never the
+/// first member, which is "type").
+std::string without_member(std::string message, std::string_view name) {
+  const MemberSpan span = member_span(message, name);
+  EXPECT_EQ(message[span.key - 1], ',') << name;
+  message.erase(span.key - 1, span.end - span.key + 1);
+  return message;
+}
+
+/// `message` with the value of member `name` replaced by `token`.
+std::string with_member(std::string message, std::string_view name,
+                        std::string_view token) {
+  const MemberSpan span = member_span(message, name);
+  message.replace(span.value, span.end - span.value, token);
+  return message;
+}
+
 }  // namespace
 
 TEST(ServeCodec, ConfigRoundTripsByteIdentically) {
@@ -132,14 +174,21 @@ TEST(ServeCodec, CanonicalCellChangesWithTheSeed) {
 TEST(ServeCodec, ConfigDecodeIsStrict) {
   // Removing any field must fail with an error naming the field — a cache
   // body that decodes "close enough" is a stale-result bug.
-  const auto doc = util::parse_json(serve::canonical_cell(gnarly_config()));
-  ASSERT_TRUE(doc.ok());
-  std::vector<std::pair<std::string, util::JsonValue>> members;
-  for (const auto& member : doc.value().members()) {
-    if (member.first != "selector") members.push_back(member);
+  // The canonical cell minus its "selector" object and the comma after it.
+  std::string without = serve::canonical_cell(gnarly_config());
+  const std::size_t from = without.find("\"selector\":{");
+  ASSERT_NE(from, std::string::npos);
+  std::size_t to = without.find('{', from);
+  for (int depth = 0;; ++to) {
+    if (without[to] == '{') ++depth;
+    if (without[to] == '}' && --depth == 0) break;
   }
-  const auto missing =
-      serve::decode_config(util::JsonValue::object(std::move(members)));
+  ASSERT_EQ(without[to + 1], ',');
+  without.erase(from, to + 2 - from);
+  const auto doc = util::parse_json(without);
+  ASSERT_TRUE(doc.ok()) << without;
+  ASSERT_EQ(doc.value().find("selector"), nullptr);
+  const auto missing = serve::decode_config(doc.value());
   ASSERT_FALSE(missing.ok());
   // A missing nested object is named like any other field.
   EXPECT_NE(missing.error().find("selector"), std::string::npos);
@@ -447,4 +496,149 @@ TEST(ServeProtocol, TrialAndDoneEventsRoundTrip) {
   EXPECT_EQ(redone.value().hits, done.hits);
   EXPECT_EQ(redone.value().misses, done.misses);
   EXPECT_TRUE(redone.value().error.empty());
+}
+
+TEST(ServeProtocol, DecodersNameEveryMissingOrWrongKindField) {
+  // A message missing a field, or carrying one of the wrong kind, is an
+  // error naming that field — never a silent 0 that files a trial result
+  // under point 0, trial 0.
+  serve::ServeEvent trial;
+  trial.kind = serve::ServeEvent::Kind::kTrial;
+  trial.job_id = "abcdef123456-1";
+  trial.cell = 7;
+  trial.point = 2;
+  trial.trial = 1;
+  trial.label = "H=4 listening";
+  trial.key = "0123456789abcdef";
+  trial.result = gnarly_result();
+  serve::ServeEvent done;
+  done.kind = serve::ServeEvent::Kind::kJobDone;
+  done.job_id = "abcdef123456-1";
+  done.cells = 12;
+
+  using Decoder = std::string (*)(const util::JsonValue&);
+  const auto event_error = [](const util::JsonValue& doc) {
+    auto decoded = serve::decode_event(doc);
+    return decoded.ok() ? std::string() : decoded.error();
+  };
+  const auto accepted_error = [](const util::JsonValue& doc) {
+    auto decoded = serve::decode_accepted(doc);
+    return decoded.ok() ? std::string() : decoded.error();
+  };
+  const auto rejected_error = [](const util::JsonValue& doc) {
+    auto decoded = serve::decode_rejected(doc);
+    return decoded.ok() ? std::string() : decoded.error();
+  };
+  const auto status_error = [](const util::JsonValue& doc) {
+    auto decoded = serve::decode_status(doc);
+    return decoded.ok() ? std::string() : decoded.error();
+  };
+  struct Case {
+    std::string message;
+    Decoder decode;
+    std::vector<std::string_view> fields;
+  };
+  const std::vector<Case> cases = {
+      {serve::encode_event(trial), +event_error,
+       {"job", "cell", "point", "trial", "label", "cache_hit", "key",
+        "result"}},
+      {serve::encode_event(done), +event_error,
+       {"job", "cells", "hits", "misses", "error"}},
+      {serve::encode_accepted(serve::Submitted{"job-1", 4, 3, 12}),
+       +accepted_error, {"job", "points", "trials", "cells"}},
+      {serve::encode_rejected(serve::Rejection{"queue full", 500}),
+       +rejected_error, {"reason", "retry_after_ms"}},
+      {serve::encode_status(serve::ServerStatus{}), +status_error,
+       {"jobs_active", "jobs_submitted", "jobs_completed", "jobs_rejected",
+        "queue_depth", "events_pending", "cache_entries", "cache_bytes",
+        "cache_hits", "cache_misses", "cache_quarantined",
+        "connections_active"}},
+  };
+  for (const Case& c : cases) {
+    const auto whole = util::parse_json(c.message);
+    ASSERT_TRUE(whole.ok());
+    EXPECT_EQ(c.decode(whole.value()), "") << c.message.substr(0, 80);
+    for (const std::string_view field : c.fields) {
+      const std::string quoted = "\"" + std::string(field) + "\"";
+      const auto missing = util::parse_json(without_member(c.message, field));
+      ASSERT_TRUE(missing.ok()) << field;
+      const std::string missing_error = c.decode(missing.value());
+      EXPECT_NE(missing_error.find(quoted), std::string::npos)
+          << field << " missing: \"" << missing_error << "\"";
+
+      // A bool where anything else is due, and a string where a bool is.
+      const std::string_view token = field == "cache_hit" ? "\"yes\"" : "true";
+      const auto wrong = util::parse_json(with_member(c.message, field, token));
+      ASSERT_TRUE(wrong.ok()) << field;
+      const std::string wrong_error = c.decode(wrong.value());
+      EXPECT_NE(wrong_error.find(quoted), std::string::npos)
+          << field << " wrong kind: \"" << wrong_error << "\"";
+    }
+  }
+
+  // The frame that used to land in point 0, trial 0.
+  const auto bare = util::parse_json(
+      R"({"type":"trial","job":"j","result":)" +
+      serve::encode_result(gnarly_result()) + "}");
+  ASSERT_TRUE(bare.ok());
+  const auto decoded = serve::decode_event(bare.value());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error(), "trial: field \"cell\": missing");
+}
+
+TEST(ServeProtocol, MessageBytesArePinned) {
+  // Messages are encoded through the same field lists they are decoded
+  // with; these are the bytes every daemon and client already exchange.
+  serve::ServerStatus status;
+  status.jobs_active = 1;
+  status.jobs_submitted = 2;
+  status.jobs_completed = 3;
+  status.jobs_rejected = 4;
+  status.queue_depth = 5;
+  status.events_pending = 6;
+  status.cache_entries = 7;
+  status.cache_bytes = 8;
+  status.cache_hits = 9;
+  status.cache_misses = 10;
+  status.cache_quarantined = 11;
+  status.connections_active = 12;
+  serve::ServeEvent done;
+  done.kind = serve::ServeEvent::Kind::kJobDone;
+  done.job_id = "abcdef123456-1";
+  done.cells = 12;
+  done.hits = 9;
+  done.misses = 3;
+  done.error = "cell 4: boom";
+  serve::ServeEvent trial;
+  trial.kind = serve::ServeEvent::Kind::kTrial;
+  trial.job_id = "abcdef123456-1";
+  trial.cell = 7;
+  trial.point = 2;
+  trial.trial = 1;
+  trial.label = "H=4 listening";
+  trial.cache_hit = true;
+  trial.key = "0123456789abcdef";
+  trial.result = gnarly_result();
+
+  EXPECT_EQ(serve::encode_accepted(serve::Submitted{"abcdef123456-1", 4, 3, 12}),
+            R"({"type":"accepted","job":"abcdef123456-1","points":4,)"
+            R"("trials":3,"cells":12})");
+  EXPECT_EQ(serve::encode_rejected(
+                serve::Rejection{"queue full: 9 cells in flight", 500}),
+            R"({"type":"rejected","reason":"queue full: 9 cells in flight",)"
+            R"("retry_after_ms":500})");
+  EXPECT_EQ(serve::encode_status(status),
+            R"({"type":"status","jobs_active":1,"jobs_submitted":2,)"
+            R"("jobs_completed":3,"jobs_rejected":4,"queue_depth":5,)"
+            R"("events_pending":6,"cache_entries":7,"cache_bytes":8,)"
+            R"("cache_hits":9,"cache_misses":10,"cache_quarantined":11,)"
+            R"("connections_active":12})");
+  EXPECT_EQ(serve::encode_event(done),
+            R"({"type":"done","job":"abcdef123456-1","cells":12,"hits":9,)"
+            R"("misses":3,"error":"cell 4: boom"})");
+  EXPECT_EQ(serve::encode_event(trial),
+            R"({"type":"trial","job":"abcdef123456-1","cell":7,"point":2,)"
+            R"("trial":1,"label":"H=4 listening","cache_hit":true,)"
+            R"("key":"0123456789abcdef","result":)" +
+                serve::encode_result(trial.result) + "}");
 }
