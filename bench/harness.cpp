@@ -9,13 +9,6 @@
 
 namespace retri::bench {
 
-TrialSummary run_trials(const ExperimentConfig& config, unsigned trials,
-                        unsigned jobs) {
-  runner::TrialRunnerOptions options;
-  options.jobs = jobs;
-  return runner::TrialRunner(options).run_summary(config, trials);
-}
-
 namespace {
 
 // Strict whole-token numeric parsing: "12x", "", "-3" (for unsigned) and
@@ -98,6 +91,9 @@ bool try_parse_args(int argc, char** argv, BenchArgs& args,
     } else if (flag == "--sweep") {
       if (!next_value(value)) return false;
       args.sweep = std::string(value);
+    } else if (flag == "--repro") {
+      if (!next_value(value)) return false;
+      args.repro = std::string(value);
     } else if (flag == "--selector") {
       if (!next_value(value)) return false;
       args.selector = std::string(value);
@@ -128,14 +124,11 @@ BenchArgs parse_args(int argc, char** argv) {
   return args;
 }
 
-int require_no_out(const BenchArgs& args, std::FILE* err) {
-  if (args.out.empty()) return 0;
-  std::fprintf(err,
-               "--out is not supported by this binary (it prints tables "
-               "only); run the grid through `retri_bench --sweep NAME --out "
-               "%s` for the JSON artifact\n",
-               args.out.c_str());
-  return 2;
+void apply_overrides(runner::SweepSpec& spec, const BenchArgs& args) {
+  spec.trials = args.trials;
+  spec.base.seed = args.seed;
+  spec.base.senders = args.senders;
+  spec.base.send_duration = sim::Duration::from_seconds(args.seconds);
 }
 
 int export_result(const std::string& path, const runner::SweepResult& result,

@@ -1,11 +1,5 @@
-// Shared experiment harness for the bench binaries.
-//
-// The §5.1 experiment itself now lives in src/runner (runner::experiment);
-// this header re-exports those names under retri::bench so the figure
-// binaries keep reading like the paper, and adds the two bench-side pieces:
-// run_trials — a thin wrapper over runner::TrialRunner preserving the
-// historical serial-looking API while sharding trials across --jobs
-// workers — and the shared command-line grammar (parse_args).
+// The retri_bench command line: its flag grammar, the overrides it applies
+// to a named sweep, and the JSON artifact export.
 #pragma once
 
 #include <cstddef>
@@ -13,32 +7,16 @@
 #include <cstdio>
 #include <string>
 
-#include "runner/experiment.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/sweep.hpp"
-#include "runner/trial_runner.hpp"
 
 namespace retri::bench {
 
-using runner::ExperimentConfig;
-using runner::ExperimentResult;
-using runner::TopologyKind;
-using runner::TrialSummary;
-using runner::run_experiment;
-
-/// Runs `trials` independent trials of `config` — the paper's
-/// 10-trials-with-error-bars methodology — sharded across `jobs` workers.
-/// Trial t's seed is runner::derive_trial_seed(config.seed, t); results are
-/// aggregated in trial order, so the summary is bit-identical for any jobs
-/// value (see DESIGN.md on the runner).
-TrialSummary run_trials(const ExperimentConfig& config, unsigned trials,
-                        unsigned jobs = 1);
-
-/// Parses "--flag value" style overrides shared by the benches:
-/// --trials N, --seconds S, --senders N, --seed X, --jobs N, --out FILE,
-/// --csv, plus the retri_bench-only --sweep NAME, --selector NAME, --list,
-/// --via SOCKET and --cache-info. Unknown flags and malformed numeric
-/// values are fatal (typos must not silently run the default experiment).
+/// Parses "--flag value" style options: --trials N, --seconds S,
+/// --senders N, --seed X, --jobs N, --out FILE, --csv, --sweep NAME,
+/// --repro NAME, --selector NAME, --list, --via SOCKET and --cache-info.
+/// Unknown flags and malformed numeric values are fatal (typos must not
+/// silently run the default experiment).
 struct BenchArgs {
   unsigned trials = 10;
   double seconds = 30.0;
@@ -47,17 +25,18 @@ struct BenchArgs {
   unsigned jobs = 1;      // worker threads for trial execution
   std::string out;        // JSON artifact path; empty = no export
   bool csv = false;
-  std::string sweep;      // retri_bench: named sweep to run
-  /// retri_bench: pin the sweep's id-selection policy — a registry name
+  std::string sweep;      // named sweep to run
+  std::string repro;      // reproduction entry to run (bench/repro.hpp)
+  /// Pins the sweep's id-selection policy: a registry name
   /// from core::named_selectors(), or "help" to list them. Overrides both
   /// the sweep's base selector and its selector axis.
   std::string selector;
-  bool list = false;      // retri_bench: list available sweeps
-  /// retri_bench: fetch the sweep through a retri_serve daemon at this
+  bool list = false;      // list the sweeps and reproduction entries
+  /// Fetch the sweep through a retri_serve daemon at this
   /// Unix-socket path instead of simulating locally. Results (and the
   /// default --out artifact) are bit-identical to a local run.
   std::string via;
-  /// retri_bench: with --via, annotate the --out artifact with per-trial
+  /// With --via, annotate the --out artifact with per-trial
   /// cache provenance (schema v4 "cache"/"served_by" members). Off by
   /// default so served artifacts stay byte-comparable to local ones.
   bool cache_info = false;
@@ -69,8 +48,12 @@ struct BenchArgs {
 bool try_parse_args(int argc, char** argv, BenchArgs& args,
                     std::string& error);
 
-/// try_parse_args, exiting with status 2 on error (bench main() entry).
+/// try_parse_args, exiting with status 2 on error.
 BenchArgs parse_args(int argc, char** argv);
+
+/// Applies the per-run overrides (trials, seed, seconds, senders) to a
+/// named sweep; --sweep and --repro share them.
+void apply_overrides(runner::SweepSpec& spec, const BenchArgs& args);
 
 /// Writes the sweep's JSON artifact to `path` via runner::ResultSink.
 /// Returns 0 on success, 2 when the path cannot be opened or the write
@@ -81,12 +64,5 @@ BenchArgs parse_args(int argc, char** argv);
 int export_result(const std::string& path, const runner::SweepResult& result,
                   std::FILE* err,
                   const runner::ServeAnnotations* serve = nullptr);
-
-/// Exit-2 guard for the figure/ablation binaries, which print tables but
-/// never export JSON: the shared grammar accepts --out everywhere, and
-/// accepting it while silently ignoring it is the same artifact-loss bug
-/// class export_result closes. Returns 0 when --out was not given; prints
-/// a redirect to `retri_bench --sweep NAME --out` and returns 2 otherwise.
-int require_no_out(const BenchArgs& args, std::FILE* err);
 
 }  // namespace retri::bench

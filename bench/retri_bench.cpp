@@ -3,6 +3,11 @@
 //   retri_bench --list
 //   retri_bench --sweep fig4 --jobs 8 --out fig4.json
 //   retri_bench --sweep hidden_terminal --trials 10 --seconds 30 --csv
+//   retri_bench --repro fig4 --jobs 4
+//
+// --repro NAME|all runs the paper's reproduction entries (bench/repro.hpp):
+// each prints its table and one `check NAME: holds|FAILS` line per claim,
+// and the run exits 1 when a check fails.
 //
 // Selects a named sweep from runner::make_named_sweep (fig1–fig4 and the
 // ablation grids), runs the whole parameter grid through the parallel
@@ -25,6 +30,7 @@
 #include <utility>
 
 #include "harness.hpp"
+#include "repro.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/sweep.hpp"
 #include "serve/cache.hpp"
@@ -44,6 +50,12 @@ int list_sweeps(std::FILE* stream) {
     std::fprintf(stream, "  %-20.*s %s\n", static_cast<int>(name.size()),
                  name.data(), spec.ok() ? spec.value().description.c_str() : "");
   }
+  std::fprintf(stream, "reproduction entries (--repro NAME|all):\n");
+  for (const retri::bench::ReproEntry& entry : retri::bench::repro_entries()) {
+    std::fprintf(stream, "  %-20.*s %.*s\n",
+                 static_cast<int>(entry.name.size()), entry.name.data(),
+                 static_cast<int>(entry.title.size()), entry.title.data());
+  }
   return 0;
 }
 
@@ -62,13 +74,25 @@ int main(int argc, char** argv) {
   const auto args = retri::bench::parse_args(argc, argv);
   if (args.list) return list_sweeps(stdout);
   if (args.selector == "help") return list_selectors(stdout);
+  if (!args.repro.empty()) {
+    if (!args.sweep.empty() || !args.selector.empty() || !args.via.empty() ||
+        args.cache_info) {
+      std::fprintf(stderr, "--repro takes none of --sweep, --selector, "
+                           "--via, --cache-info\n");
+      return 2;
+    }
+    return retri::bench::run_repro(args);
+  }
   if (args.sweep.empty()) {
     std::fprintf(stderr,
                  "usage: retri_bench --sweep NAME [--jobs N] [--out FILE]\n"
                  "                   [--trials N] [--seconds S] [--senders N]\n"
                  "                   [--seed X] [--selector NAME|help]\n"
                  "                   [--csv] [--via SOCKET\n"
-                 "                   [--cache-info]] | --list\n\n");
+                 "                   [--cache-info]] | --list\n"
+                 "       retri_bench --repro NAME|all [--jobs N] [--trials N]\n"
+                 "                   [--seconds S] [--senders N] [--seed X]\n"
+                 "                   [--csv] [--out FILE]\n\n");
     list_sweeps(stderr);
     return 2;
   }
@@ -80,10 +104,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   runner::SweepSpec spec = std::move(named).value();
-  spec.trials = args.trials;
-  spec.base.seed = args.seed;
-  spec.base.senders = args.senders;
-  spec.base.send_duration = retri::sim::Duration::from_seconds(args.seconds);
+  retri::bench::apply_overrides(spec, args);
   if (!args.selector.empty()) {
     auto parsed = retri::core::parse_selector_spec(args.selector);
     if (!parsed.ok()) {

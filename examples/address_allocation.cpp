@@ -115,11 +115,12 @@ int main() {
     std::puts("exactly the paper's caveat: \"in a static system, the work done");
     std::puts("at the beginning ... is amortized over all the work done ...");
     std::puts("thereafter\" (§2.3). The argument for RETRI is about dynamics:");
-    std::puts("crank the churn (bench/ablate_dynamic_alloc) and the allocation");
-    std::puts("overhead swamps the low data rate while AFF's cost stays flat.");
+    std::puts("crank the churn (retri_bench --repro dynamic_alloc) and the");
+    std::puts("allocation overhead swamps the low data rate while AFF's cost");
+    std::puts("stays flat.");
   } else {
     std::puts("\nallocation overhead already exceeds the collision tax here;");
-    std::puts("see bench/ablate_dynamic_alloc for the full churn sweep.");
+    std::puts("see retri_bench --repro dynamic_alloc for the full churn sweep.");
   }
   return 0;
 }

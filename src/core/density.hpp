@@ -23,7 +23,7 @@ namespace retri::core {
 /// estimation method open ("we are investigating more accurate ways of
 /// estimating the typical transaction density T", §8); the AFF driver takes
 /// any DensityModel so the alternatives can be compared experimentally
-/// (bench/ablate_density_estimators).
+/// (`retri_bench --repro density_estimators`).
 class DensityModel {
  public:
   virtual ~DensityModel() = default;

@@ -74,7 +74,7 @@ std::optional<unsigned> min_bits_for_loss(double max_collision_rate,
 //
 // The paper's §8 names "capturing the effects of listening ... in our
 // model" as future work; this is our version of that extension, validated
-// against simulation by bench/ablate_duty_cycle.
+// against simulation by `retri_bench --repro duty_cycle`.
 //
 // `hear_prob` (q) is the probability a node hears any given peer's
 // identifier announcement before selecting its own — q < 1 because of

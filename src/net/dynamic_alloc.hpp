@@ -10,7 +10,7 @@
 //
 // The paper's argument (§2.3) is that in a *dynamic* network this protocol's
 // control traffic is paid on every topology change and cannot amortize over
-// a low data rate. The ablate_dynamic_alloc bench measures exactly that:
+// a low data rate. `retri_bench --repro dynamic_alloc` measures exactly that:
 // control bits per acquired address as churn increases, versus AFF which
 // pays nothing on membership change.
 //

@@ -1,13 +1,11 @@
 // The paper's §5.1 validation experiment as a library.
 //
-// Encapsulates the experimental design every bench shares: N transmitters
+// Encapsulates the experimental design every sweep shares: N transmitters
 // saturating a shared channel with fixed-size packets toward one receiver,
 // instrumented so the receiver can count both AFF-delivered packets and the
 // ground truth ("would have been received based on the unique id").
-// Historically this lived in bench/harness.{hpp,cpp}; it moved under
-// src/runner so the parallel TrialRunner/SweepRunner layers — and their
-// tests — can drive experiments without linking bench code. bench/harness
-// re-exports these names for the figure binaries.
+// It lives under src/runner so the parallel TrialRunner/SweepRunner layers
+// and their tests drive experiments without linking bench code.
 //
 // One ExperimentConfig → run_experiment() call is a pure function of the
 // config (including config.seed): it constructs a private Simulator, radios

@@ -259,8 +259,8 @@ util::Result<SweepSpec, std::string> make_named_sweep(std::string_view name) {
     // The selector-zoo ablation: every identifier-selection policy against
     // every attacker mode across offered load, at a width (H=6) narrow
     // enough that collisions — accidental or forged — actually happen.
-    // The Eq.-4-style efficiency comparison in bench/ablate_selectors.cpp
-    // renders this grid.
+    // `retri_bench --repro selectors` renders this grid as the Eq.-4-style
+    // efficiency comparison.
     spec.description =
         "selector zoo x attacker mode x offered load (H=6, Eq. 4 "
         "efficiency)";

@@ -1,14 +1,15 @@
 // Parameter sweeps as data.
 //
-// Every figure and ablation bench is "a grid of ExperimentConfigs × N
+// Every simulated figure and ablation is "a grid of ExperimentConfigs × N
 // trials"; SweepSpec captures the grid declaratively (axes over identifier
 // width, selector spec, attacker mode, sender count, listening duty,
-// density estimator) instead of as a bespoke for-loop per binary. SweepRunner flattens the
-// whole grid — every (point, trial) pair — into one ThreadPool so a sweep
-// saturates the machine even when individual points have few trials, while
-// each result lands in its (point, trial) slot and determinism is preserved
-// exactly as in TrialRunner. make_named_sweep() is the registry behind the
-// unified `retri_bench` CLI (fig1–fig4 and the ablation grids).
+// density estimator, channel) instead of as a bespoke for-loop. SweepRunner
+// flattens the whole grid — every (point, trial) pair — into one ThreadPool
+// so a sweep saturates the machine even when individual points have few
+// trials, while each result lands in its (point, trial) slot and
+// determinism is preserved exactly as in TrialRunner. make_named_sweep() is
+// the one place experiment grids are defined: `retri_bench --sweep` runs
+// them, and `retri_bench --repro` judges the paper's claims over them.
 #pragma once
 
 #include <cstddef>

@@ -5,6 +5,7 @@
 #include "runner/seeds.hpp"
 #include "runner/thread_pool.hpp"
 #include "util/json.hpp"
+#include "util/json_fields.hpp"
 #include "util/json_parse.hpp"
 
 namespace retri::serve {
@@ -29,51 +30,18 @@ ChaosCellRecord project(const fault::ChaosTrialResult& result) {
 }
 
 std::string encode_chaos_record(const ChaosCellRecord& record) {
-  util::JsonWriter json(/*pretty=*/false);
-  json.begin_object();
-  json.member("plan", record.plan);
-  json.member("packets_offered", record.packets_offered);
-  json.member("aff_delivered", record.aff_delivered);
-  json.member("truth_delivered", record.truth_delivered);
-  json.member("crashes", record.crashes);
-  json.member("restarts", record.restarts);
-  json.key("violations");
-  json.begin_array();
-  for (const std::string& violation : record.violations) {
-    json.value(violation);
-  }
-  json.end_array();
-  json.member("fingerprint", record.fingerprint);
-  json.end_object();
-  return std::move(json).take();
+  return util::to_json(record);
 }
 
 util::Result<ChaosCellRecord, std::string> decode_chaos_record(
     std::string_view text) {
   auto parsed = util::parse_json(text);
   if (!parsed.ok()) return "chaos record: " + parsed.error().describe();
-  const util::JsonValue& doc = parsed.value();
-  if (!doc.is_object()) return std::string("chaos record: expected object");
-  const util::JsonValue* violations = doc.find("violations");
-  const util::JsonValue* fingerprint = doc.find("fingerprint");
-  if (violations == nullptr || !violations->is_array() ||
-      fingerprint == nullptr || !fingerprint->is_string()) {
-    return std::string("chaos record: missing violations/fingerprint");
-  }
   ChaosCellRecord record;
-  record.plan = doc.str("plan");
-  record.packets_offered = doc.u64("packets_offered");
-  record.aff_delivered = doc.u64("aff_delivered");
-  record.truth_delivered = doc.u64("truth_delivered");
-  record.crashes = doc.u64("crashes");
-  record.restarts = doc.u64("restarts");
-  for (const util::JsonValue& violation : violations->items()) {
-    if (!violation.is_string()) {
-      return std::string("chaos record: violations must be strings");
-    }
-    record.violations.push_back(violation.as_string());
+  std::string err;
+  if (!util::read_json(parsed.value(), record, err)) {
+    return "chaos record: " + err;
   }
-  record.fingerprint = fingerprint->as_string();
   return record;
 }
 

@@ -37,12 +37,27 @@ struct ChaosCellRecord {
   std::vector<std::string> violations;
   std::string fingerprint;  // fault::fingerprint at production time
 
+  /// Wire fields in wire order (util/json_fields.hpp): the cache body.
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f("plan", s.plan);
+    f("packets_offered", s.packets_offered);
+    f("aff_delivered", s.aff_delivered);
+    f("truth_delivered", s.truth_delivered);
+    f("crashes", s.crashes);
+    f("restarts", s.restarts);
+    f("violations", s.violations);
+    f("fingerprint", s.fingerprint);
+  }
+
   bool clean() const noexcept { return violations.empty(); }
   bool operator==(const ChaosCellRecord&) const = default;
 };
 
 ChaosCellRecord project(const fault::ChaosTrialResult& result);
 
+/// Strict: a record missing any field, or holding one of the wrong kind, is
+/// rejected with the field named.
 std::string encode_chaos_record(const ChaosCellRecord& record);
 util::Result<ChaosCellRecord, std::string> decode_chaos_record(
     std::string_view text);

@@ -6,7 +6,7 @@
 // waypoints; every tick it advances positions and rewrites the medium's
 // topology from the disk connectivity rule (hear anyone within range).
 // RETRI needs no reaction to any of this — that is the point — while
-// address-assignment protocols must re-run (bench/ablate_dynamic_alloc).
+// address-assignment protocols must re-run (`retri_bench --repro mobility`).
 #pragma once
 
 #include <cstdint>

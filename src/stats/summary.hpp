@@ -18,6 +18,14 @@ namespace retri::stats {
 /// Exact table for df <= 30, normal-approximation (1.96) beyond.
 double t_critical_95(std::uint64_t df) noexcept;
 
+/// One-sided Clopper–Pearson lower confidence bound at level 1 - alpha on
+/// the proportion behind k successes in n Bernoulli trials: the p at which
+/// seeing k or more successes has probability exactly alpha. Exact (no
+/// normal approximation), so it stays honest at proportions near 0 and 1.
+/// Returns 0 when k == 0 or n == 0.
+double clopper_pearson_lower(std::uint64_t k, std::uint64_t n,
+                             double alpha) noexcept;
+
 /// A [lo, hi] interval around a mean.
 struct Interval {
   double lo = 0.0;

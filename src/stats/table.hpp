@@ -1,6 +1,6 @@
-// Aligned-column table and CSV emission for the bench harnesses.
+// Aligned-column table and CSV emission for retri_bench.
 //
-// Every bench prints (a) a human-readable aligned table reproducing the
+// Every reproduction entry and sweep prints (a) a human-readable aligned table reproducing the
 // paper's figure as rows, and (b) optionally the same data as CSV for
 // replotting. Table collects cells as strings and right-pads on output.
 #pragma once

@@ -1,4 +1,4 @@
-// bench::try_parse_args — the shared CLI grammar. Unknown flags are fatal
+// bench::try_parse_args — the retri_bench CLI grammar. Unknown flags are fatal
 // and malformed numerics are rejected (never silently defaulted); the
 // exiting parse_args is a trivial wrapper over this.
 #include <cstdio>
@@ -61,6 +61,14 @@ TEST(ParseArgs, JobsAndOutRoundTrip) {
   EXPECT_EQ(outcome.args.seed, 99u);
   EXPECT_EQ(outcome.args.senders, 7u);
   EXPECT_TRUE(outcome.args.csv);
+}
+
+TEST(ParseArgs, ReproTakesAnEntryName) {
+  const auto outcome = parse({"--repro", "fig4", "--jobs", "4"});
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(outcome.args.repro, "fig4");
+  EXPECT_TRUE(outcome.args.sweep.empty());
+  EXPECT_FALSE(parse({"--repro"}).ok);
 }
 
 TEST(ParseArgs, UnknownFlagIsFatal) {
@@ -167,23 +175,4 @@ TEST(ResultSinkWriteFile, FillsErrorForUnwritablePath) {
   EXPECT_FALSE(retri::runner::ResultSink::write_file(
       "/nonexistent-retri-dir/out.json", tiny_result(), &error));
   EXPECT_FALSE(error.empty());
-}
-
-TEST(RequireNoOut, PassesWhenOutUnset) {
-  BenchArgs args;
-  EXPECT_EQ(retri::bench::require_no_out(args, stderr), 0);
-}
-
-TEST(RequireNoOut, RejectsIgnoredOutWithStatus2AndRedirect) {
-  BenchArgs args;
-  args.out = "fig.json";
-  std::FILE* err = std::tmpfile();
-  ASSERT_NE(err, nullptr);
-  EXPECT_EQ(retri::bench::require_no_out(args, err), 2);
-  std::rewind(err);
-  char buf[256] = {};
-  const std::size_t n = std::fread(buf, 1, sizeof buf - 1, err);
-  const std::string msg(buf, n);
-  EXPECT_NE(msg.find("retri_bench"), std::string::npos);
-  EXPECT_NE(msg.find("fig.json"), std::string::npos);
 }

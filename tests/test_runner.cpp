@@ -1,14 +1,12 @@
 // runner: thread pool, seed derivation, and the determinism contract —
 // TrialRunner produces bit-identical per-trial results for any worker
-// count, and bench::run_trials (the legacy serial-looking API, now a thin
-// wrapper) agrees with it exactly.
+// count, and its summaries agree exactly with a serial reference loop.
 #include <atomic>
 #include <set>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
-#include "harness.hpp"
 #include "runner/seeds.hpp"
 #include "runner/thread_pool.hpp"
 #include "runner/trial_runner.hpp"
@@ -124,13 +122,13 @@ TEST(TrialRunner, ParallelMatchesSerialBitExactly) {
   }
 }
 
-TEST(TrialRunner, LegacyRunTrialsWrapperAgrees) {
+TEST(TrialRunner, RunSummaryMatchesSerialReference) {
   const auto config = small_config();
   constexpr unsigned kTrials = 5;
 
-  // Reference: a serial loop over run_experiment with derived seeds — the
-  // contract run_trials has always exposed (independent trials from the
-  // base seed), pinned to the documented derivation.
+  // Reference: a serial loop over run_experiment with derived seeds
+  // (independent trials from the base seed), pinned to the documented
+  // derivation.
   std::vector<double> reference;
   for (unsigned t = 0; t < kTrials; ++t) {
     runner::ExperimentConfig trial_config = config;
@@ -138,8 +136,10 @@ TEST(TrialRunner, LegacyRunTrialsWrapperAgrees) {
     reference.push_back(runner::run_experiment(trial_config).delivery_ratio());
   }
 
-  const auto serial = retri::bench::run_trials(config, kTrials, 1);
-  const auto sharded = retri::bench::run_trials(config, kTrials, 8);
+  runner::TrialRunnerOptions eight;
+  eight.jobs = 8;
+  const auto serial = runner::TrialRunner().run_summary(config, kTrials);
+  const auto sharded = runner::TrialRunner(eight).run_summary(config, kTrials);
   ASSERT_EQ(serial.delivery_ratio.outcomes().size(), kTrials);
   EXPECT_EQ(serial.delivery_ratio.outcomes(), reference);
   EXPECT_EQ(sharded.delivery_ratio.outcomes(), reference);

@@ -18,6 +18,7 @@
 #include "runner/seeds.hpp"
 #include "runner/sweep.hpp"
 #include "serve/cache.hpp"
+#include "serve/chaos_cells.hpp"
 #include "serve/codec.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -354,6 +355,43 @@ TEST(ServeCodec, CanonicalBytesArePinnedToTheCodeVersion) {
   EXPECT_EQ(body.value(), 0xd653070806e6d6acULL);
 }
 
+TEST(ChaosRecord, BytesArePinnedAndEveryFieldIsRequired) {
+  serve::ChaosCellRecord record;
+  record.plan = "loss=0.15 burst";
+  record.packets_offered = 120;
+  record.aff_delivered = 97;
+  record.truth_delivered = 101;
+  record.crashes = 2;
+  record.restarts = 1;
+  record.violations = {"bounded_state: 3 > 2"};
+  record.fingerprint = "00ff00ff00ff00ff";
+  const std::string bytes = serve::encode_chaos_record(record);
+  EXPECT_EQ(bytes,
+            R"({"plan":"loss=0.15 burst","packets_offered":120,)"
+            R"("aff_delivered":97,"truth_delivered":101,"crashes":2,)"
+            R"("restarts":1,"violations":["bounded_state: 3 > 2"],)"
+            R"("fingerprint":"00ff00ff00ff00ff"})");
+  const auto decoded = serve::decode_chaos_record(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.error();
+  EXPECT_EQ(decoded.value(), record);
+
+  for (const std::string_view field :
+       {"plan", "packets_offered", "aff_delivered", "truth_delivered",
+        "crashes", "restarts", "violations", "fingerprint"}) {
+    std::string missing = bytes;
+    const MemberSpan span = member_span(missing, field);
+    // Drop the member with the comma after it ("plan") or before it.
+    if (field == "plan") missing.erase(span.key, span.end - span.key + 1);
+    else missing.erase(span.key - 1, span.end - span.key + 1);
+    const auto rejected = serve::decode_chaos_record(missing);
+    ASSERT_FALSE(rejected.ok()) << field;
+    std::string quoted = "\"";
+    quoted.append(field).append("\"");
+    EXPECT_NE(rejected.error().find(quoted), std::string::npos)
+        << field << ": " << rejected.error();
+  }
+}
+
 TEST(ResultSinkConfig, PointConfigRecordsAreLossless) {
   // A sweep artifact's per-point config record is the canonical encoding:
   // the shared reader gives back exactly the config that ran, including
@@ -559,7 +597,8 @@ TEST(ServeProtocol, DecodersNameEveryMissingOrWrongKindField) {
     ASSERT_TRUE(whole.ok());
     EXPECT_EQ(c.decode(whole.value()), "") << c.message.substr(0, 80);
     for (const std::string_view field : c.fields) {
-      const std::string quoted = "\"" + std::string(field) + "\"";
+      std::string quoted = "\"";
+      quoted.append(field).append("\"");
       const auto missing = util::parse_json(without_member(c.message, field));
       ASSERT_TRUE(missing.ok()) << field;
       const std::string missing_error = c.decode(missing.value());

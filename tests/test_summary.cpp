@@ -1,5 +1,7 @@
 #include "stats/summary.hpp"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "util/random.hpp"
@@ -19,6 +21,20 @@ TEST(TCritical, MonotonicallyDecreasing) {
   for (std::uint64_t df = 1; df < 30; ++df) {
     EXPECT_GE(t_critical_95(df), t_critical_95(df + 1)) << "df=" << df;
   }
+}
+
+TEST(ClopperPearson, MatchesExactBinomialTails) {
+  // References from bisection on exact binomial tail sums.
+  EXPECT_NEAR(clopper_pearson_lower(5, 10, 0.05), 0.222441, 1e-6);
+  EXPECT_NEAR(clopper_pearson_lower(10, 10, 0.05), std::pow(0.05, 0.1), 1e-9);
+  EXPECT_NEAR(clopper_pearson_lower(1, 100, 0.05), 0.000512801, 1e-9);
+  EXPECT_NEAR(clopper_pearson_lower(70, 1000, 0.005), 0.0508090, 1e-6);
+  EXPECT_EQ(clopper_pearson_lower(0, 100, 0.05), 0.0);
+  EXPECT_EQ(clopper_pearson_lower(0, 0, 0.05), 0.0);
+  // A bound below the observed proportion, tightening as n grows.
+  EXPECT_LT(clopper_pearson_lower(7000, 100000, 0.005), 0.07);
+  EXPECT_GT(clopper_pearson_lower(7000, 100000, 0.005),
+            clopper_pearson_lower(70, 1000, 0.005));
 }
 
 TEST(TrialSet, TenTrialMethodology) {
