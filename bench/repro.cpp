@@ -495,16 +495,18 @@ void print_efficiency(double data_bits, const BenchArgs& args) {
   emit(table, args.csv);
 }
 
-/// Monte-Carlo estimate of E_aff at (H, T) via the registry: simulates the
-/// model's overlap process and scales D/(D+H) by the survival rate.
-double monte_carlo_e_aff(double data_bits, unsigned id_bits, unsigned density,
-                         std::uint64_t seed) {
-  constexpr int kProbes = 20'000;
+/// Monte-Carlo survival at (H, T) via the registry: each probe transaction
+/// overlaps 2(T - 1) peers, the model's overlap process, and survives when
+/// none of them drew its identifier. Returns how many of `probes` probes
+/// ended clean. The registry is empty again after every probe, so one
+/// instance serves them all.
+std::uint64_t monte_carlo_survivors(unsigned id_bits, unsigned density,
+                                    std::uint64_t probes, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   const core::IdSpace space(id_bits);
-  int survived = 0;
-  for (int p = 0; p < kProbes; ++p) {
-    core::TransactionRegistry reg;
+  core::TransactionRegistry reg;
+  std::uint64_t survived = 0;
+  for (std::uint64_t p = 0; p < probes; ++p) {
     const core::TxHandle probe =
         reg.begin(core::TransactionId(rng.below(space.size())));
     const unsigned peers = 2 * (density - 1);
@@ -513,8 +515,7 @@ double monte_carlo_e_aff(double data_bits, unsigned id_bits, unsigned density,
     }
     if (reg.end(probe)) ++survived;
   }
-  const double p_ok = static_cast<double>(survived) / kProbes;
-  return data_bits * p_ok / (data_bits + id_bits);
+  return survived;
 }
 
 /// Energy to transmit `messages` readings of `data_bits` with a
@@ -585,12 +586,31 @@ std::vector<Check> run_fig3(const BenchArgs& args) {
   // Static series stop at address-space exhaustion ("the efficiency is
   // undefined"): n/a. The Monte-Carlo column cross-checks the closed form.
   constexpr double kDataBits = 16.0;
+  // Per-load two-sided level of the Monte-Carlo check: 11 loads at 0.1%
+  // keep a seed's chance of a spurious failure near 1%.
+  constexpr double kTailAlpha = 0.0005;
+  constexpr unsigned kMcBits = 9;
+  constexpr std::uint64_t kProbes = 20'000;  // per load
   const unsigned loads[] = {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
   Table table({"load T", "AFF H=9", "AFF H=9 (MC)", "AFF H=12", "AFF H=16",
                "static 8b", "static 16b"});
+  bool mc_agrees = true;
   for (const unsigned t : loads) {
+    // The closed-form survival (1 - 2^-H)^(2(T-1)) must lie inside the
+    // exact two-sided Clopper–Pearson interval of the probe count; the
+    // upper bound is the lower bound of the failures, mirrored.
+    const std::uint64_t k =
+        monte_carlo_survivors(kMcBits, t, kProbes, args.seed * 100 + t);
+    const double lo = stats::clopper_pearson_lower(k, kProbes, kTailAlpha);
+    const double hi =
+        1.0 - stats::clopper_pearson_lower(kProbes - k, kProbes, kTailAlpha);
+    const double closed = model::p_success(kMcBits, t);
+    mc_agrees = mc_agrees && lo <= closed && closed <= hi;
+    const double mc_e_aff =
+        kDataBits * (static_cast<double>(k) / static_cast<double>(kProbes)) /
+        (kDataBits + kMcBits);
     table.row({std::to_string(t), fmt(model::e_aff(kDataBits, 9, t)),
-               fmt(monte_carlo_e_aff(kDataBits, 9, t, args.seed * 100 + t)),
+               fmt(mc_e_aff),
                fmt(model::e_aff(kDataBits, 12, t)),
                fmt(model::e_aff(kDataBits, 16, t)),
                fmt(model::e_static_vs_load(kDataBits, 8, t)),
@@ -611,7 +631,8 @@ std::vector<Check> run_fig3(const BenchArgs& args) {
           {"static_8bit_undefined_past_256",
            std::isnan(model::e_static_vs_load(kDataBits, 8, 257.0))},
           {"aff_works_past_exhaustion", model::e_aff(kDataBits, 9, 512.0) > 0.0},
-          {"aff_decays_with_load", decays}};
+          {"aff_decays_with_load", decays},
+          {"monte_carlo_matches_closed_form", mc_agrees}};
 }
 
 std::vector<Check> run_energy(const BenchArgs& args) {

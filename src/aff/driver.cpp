@@ -118,16 +118,18 @@ AffDriverStatsSnapshot AffDriver::stats() const noexcept {
 AffDriver::~AffDriver() { *alive_ = false; }
 
 void AffDriver::ensure_expiry_timer() {
-  if (expiry_timer_.pending()) return;
+  if (expiry_armed_) return;
   if (reassembler_.pending_count() == 0 &&
       truth_reassembler_.pending_count() == 0) {
     return;
   }
   const sim::Duration period = config_.reassembly_timeout / 2;
   std::weak_ptr<bool> alive = alive_;
-  expiry_timer_ = radio_.simulator().schedule_after(period, [this, alive]() {
+  expiry_armed_ = true;
+  radio_.simulator().schedule_after(period, [this, alive]() {
     const auto flag = alive.lock();
     if (!flag || !*flag) return;
+    expiry_armed_ = false;
     reassembler_.expire(radio_.simulator().now());
     truth_reassembler_.expire(radio_.simulator().now());
     ensure_expiry_timer();
@@ -155,11 +157,10 @@ util::Result<core::TransactionId, SendError> AffDriver::send_packet(
     spans_->annotate(span, "bytes", packet.size());
   }
 
-  auto frames = fragmenter_.fragment(packet, id, true_id);
-  if (!frames) {
+  if (const auto error = fragmenter_.check(packet)) {
     counters_.send_failures.inc();
     if (spans_ != nullptr) spans_->end(span, now, "send_failed");
-    switch (frames.error()) {
+    switch (*error) {
       case FragmentError::kEmptyPacket: return SendError::kEmpty;
       case FragmentError::kPacketTooLarge: return SendError::kTooLarge;
       case FragmentError::kFrameTooSmall: return SendError::kFrameTooSmall;
@@ -167,9 +168,13 @@ util::Result<core::TransactionId, SendError> AffDriver::send_packet(
     return SendError::kEmpty;  // unreachable; switch above is exhaustive
   }
 
+  // Each frame is encoded straight into a pooled buffer that the radio
+  // queue, the medium and every delivery then share: no per-frame vector.
   const std::size_t backlog = radio_.queue_depth();
-  const std::size_t nframes = frames.value().size();
-  for (auto& frame : frames.value()) {
+  const std::size_t nframes = fragmenter_.frame_count(packet.size());
+  for (std::size_t i = 0; i < nframes; ++i) {
+    util::SharedBytes frame = radio_.frame_pool().acquire();
+    fragmenter_.encode_frame(packet, id, true_id, i, frame.mutable_bytes());
     const std::size_t frame_bytes = frame.size();
     if (!radio_.send(std::move(frame))) {
       counters_.send_failures.inc();
@@ -218,8 +223,10 @@ void AffDriver::note_transaction_begin(core::TransactionId id) {
 void AffDriver::notify_collision(std::uint64_t key) {
   if (!config_.send_collision_notifications) return;
   counters_.notifications_sent.inc();
-  radio_.send(encode_notify(config_.wire,
-                            CollisionNotify{core::TransactionId(key)}));
+  util::SharedBytes frame = radio_.frame_pool().acquire();
+  encode_notify_into(config_.wire, CollisionNotify{core::TransactionId(key)},
+                     frame.mutable_bytes());
+  radio_.send(std::move(frame));
 }
 
 void AffDriver::handle_intro(const IntroFragment& intro,

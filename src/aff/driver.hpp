@@ -164,7 +164,10 @@ class AffDriver {
   PacketHandler on_packet_;
   PacketHandler on_truth_packet_;
   Counters counters_;
-  sim::EventHandle expiry_timer_;
+  // True while an expiry timer is scheduled; the timer clears it when it
+  // fires. A plain flag: this check runs on every received frame, where an
+  // EventHandle::pending() query would lock a weak_ptr each time.
+  bool expiry_armed_ = false;
   // Liveness flag captured (weakly) by timer callbacks so events that fire
   // after the driver is destroyed become no-ops instead of dangling.
   std::shared_ptr<bool> alive_;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "aff/wire.hpp"
@@ -44,8 +45,22 @@ class Fragmenter {
   /// Total frames (intro + data) a packet of `packet_bytes` needs.
   std::size_t frame_count(std::size_t packet_bytes) const noexcept;
 
+  /// Why `packet` cannot be fragmented, or nullopt when it can.
+  std::optional<FragmentError> check(util::BytesView packet) const noexcept;
+
+  /// Encodes frame `index` of `packet` into `out` (contents replaced,
+  /// capacity kept): index 0 is the introduction, index i >= 1 the data
+  /// fragment at offset (i - 1) * payload_per_fragment(). Precondition:
+  /// check(packet) passed and index < frame_count(packet.size()). The AFF
+  /// driver encodes each frame straight into a pooled radio buffer this
+  /// way, one frame at a time.
+  void encode_frame(util::BytesView packet, core::TransactionId id,
+                    std::uint64_t true_packet_id, std::size_t index,
+                    util::Bytes& out) const;
+
   /// Builds the wire frames for `packet` under identifier `id`.
   /// In instrumented mode every frame additionally carries `true_packet_id`.
+  /// A collecting wrapper over check() and encode_frame().
   util::Result<std::vector<util::Bytes>, FragmentError> fragment(
       util::BytesView packet, core::TransactionId id,
       std::uint64_t true_packet_id = 0) const;

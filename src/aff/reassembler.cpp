@@ -217,6 +217,13 @@ bool Reassembler::write_bytes(Entry& entry, std::size_t offset,
                               util::BytesView payload) {
   const std::size_t extent = offset + payload.size();
   if (entry.bytes.size() < extent) {
+    // A fresh slot's first fragments would regrow its buffers once per
+    // fragment; size them for the whole announced packet on first touch.
+    const std::size_t want = std::max<std::size_t>(extent, entry.total_len);
+    if (entry.bytes.capacity() < want) {
+      entry.bytes.reserve(want);
+      entry.have.reserve((want + 63) / 64);
+    }
     entry.bytes.resize(extent, 0);
     entry.have.resize((extent + 63) / 64, 0);
   }

@@ -81,6 +81,19 @@ std::size_t intro_header_bytes(const WireConfig& config) noexcept;
 /// Header bytes a data fragment occupies before its payload.
 std::size_t data_header_bytes(const WireConfig& config) noexcept;
 
+/// Encoders. The `_into` forms write the frame into `out`, replacing its
+/// contents but keeping its capacity — the pooled send path encodes
+/// straight into a util::FramePool buffer this way. The value-returning
+/// forms wrap them for callers that want a fresh vector.
+void encode_intro_into(const WireConfig& config, const IntroFragment& f,
+                       std::optional<std::uint64_t> true_packet_id,
+                       util::Bytes& out);
+void encode_data_into(const WireConfig& config, const DataFragment& f,
+                      std::optional<std::uint64_t> true_packet_id,
+                      util::Bytes& out);
+void encode_notify_into(const WireConfig& config, const CollisionNotify& f,
+                        util::Bytes& out);
+
 util::Bytes encode_intro(const WireConfig& config, const IntroFragment& f,
                          std::optional<std::uint64_t> true_packet_id = std::nullopt);
 util::Bytes encode_data(const WireConfig& config, const DataFragment& f,

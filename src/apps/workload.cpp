@@ -112,13 +112,13 @@ void TrafficSource::schedule_pending(sim::Duration gap) {
 }
 
 void TrafficSource::fire() {
-  const util::Bytes payload =
-      util::random_payload(pending_.size, rng_.next() ^ (payload_seq_ << 1));
+  util::fill_random_payload(payload_, pending_.size,
+                            rng_.next() ^ (payload_seq_ << 1));
   ++payload_seq_;
-  if (driver_.send_packet(payload)) {
+  if (driver_.send_packet(payload_)) {
     ++packets_sent_;
     bytes_sent_ += pending_.size;
-    if (observer_) observer_(payload);
+    if (observer_) observer_(payload_);
   }
 }
 

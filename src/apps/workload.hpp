@@ -134,6 +134,7 @@ class TrafficSource {
   std::size_t max_backlog_frames_;
   sim::TimePoint until_;
   SendPlan pending_{};
+  util::Bytes payload_;  // the packet being sent, reused across sends
   PacketObserver observer_;
   bool running_ = false;
   std::uint64_t packets_sent_ = 0;

@@ -4,6 +4,8 @@
 // goes through SelectorPolicy / SelectorSpec.
 #include "core/selector.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -142,13 +144,99 @@ SelectorSpec validated(SelectorSpec spec) {
 
 // --- AvoidWindow ------------------------------------------------------------
 
-AvoidWindow::AvoidWindow(ListeningConfig config)
+std::size_t AvoidWindow::Counts::home(std::uint64_t id) const noexcept {
+  // Fibonacci hashing: the multiply spreads consecutive ids (a counter
+  // selector's, or a small pool's) across the table's top bits.
+  return static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ULL) >> shift_);
+}
+
+bool AvoidWindow::Counts::contains(std::uint64_t id) const noexcept {
+  if (size_ == 0) return false;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(id);; i = (i + 1) & mask) {
+    if (slots_[i].count == 0) return false;
+    if (slots_[i].id == id) return true;
+  }
+}
+
+bool AvoidWindow::Counts::add(std::uint64_t id) {
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(id);
+  while (slots_[i].count != 0 && slots_[i].id != id) i = (i + 1) & mask;
+  if (slots_[i].count++ != 0) return false;
+  slots_[i].id = id;
+  ++size_;
+  return true;
+}
+
+bool AvoidWindow::Counts::remove(std::uint64_t id) noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(id);
+  while (slots_[i].id != id || slots_[i].count == 0) i = (i + 1) & mask;
+  if (--slots_[i].count != 0) return false;
+  --size_;
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole whenever the hole lies on their path, so lookups never need
+  // tombstones.
+  std::size_t hole = i;
+  for (std::size_t j = (i + 1) & mask; slots_[j].count != 0;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(slots_[j].id);
+    if (((j - h) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      slots_[j].count = 0;
+      hole = j;
+    }
+  }
+  return true;
+}
+
+void AvoidWindow::Counts::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.count == 0) continue;
+    std::size_t i = home(slot.id);
+    while (slots_[i].count != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+AvoidWindow::AvoidWindow(IdSpace space, ListeningConfig config)
     : config_(validated(config)),
-      density_(std::max(1.0, config.initial_density)) {}
+      density_(std::max(1.0, config.initial_density)),
+      pool_(space.size()) {
+  if (pool_ <= kBitmapPool) bits_.assign((pool_ + 63) / 64, 0);
+}
 
 std::size_t AvoidWindow::window() const noexcept {
   if (config_.fixed_window != 0) return config_.fixed_window;
   return static_cast<std::size_t>(std::ceil(2.0 * density_));
+}
+
+bool AvoidWindow::avoiding(TransactionId id) const noexcept {
+  const std::uint64_t v = id.value();
+  if (ranked() && v < pool_) return ((bits_[v / 64] >> (v % 64)) & 1) != 0;
+  return counts_.contains(v);
+}
+
+TransactionId AvoidWindow::nth_free(std::uint64_t k) const noexcept {
+  assert(ranked() && k < free_ids());
+  for (std::size_t w = 0;; ++w) {
+    std::uint64_t free = ~bits_[w];
+    if (pool_ < 64) free &= util::low_mask(static_cast<unsigned>(pool_));
+    const auto n = static_cast<std::uint64_t>(std::popcount(free));
+    if (k >= n) {
+      k -= n;
+      continue;
+    }
+    for (; k > 0; --k) free &= free - 1;  // drop the k lowest free ids
+    return TransactionId(64 * w +
+                         static_cast<std::uint64_t>(std::countr_zero(free)));
+  }
 }
 
 void AvoidWindow::set_density(double t) {
@@ -160,30 +248,33 @@ void AvoidWindow::set_density(double t) {
   }
 }
 
-void AvoidWindow::trim(std::deque<TransactionId>& q, std::size_t cap) {
+void AvoidWindow::trim(util::Ring<TransactionId>& q, std::size_t cap) {
   while (q.size() > cap) {
-    const TransactionId oldest = q.front();
+    const std::uint64_t oldest = q.front().value();
     q.pop_front();
-    auto it = avoid_counts_.find(oldest);
-    assert(it != avoid_counts_.end());
-    if (--it->second == 0) avoid_counts_.erase(it);
+    if (counts_.remove(oldest) && ranked() && oldest < pool_) {
+      bits_[oldest / 64] &= ~(std::uint64_t{1} << (oldest % 64));
+      --bits_set_;
+    }
   }
 }
 
-void AvoidWindow::push_recent(std::deque<TransactionId>& q, TransactionId id,
-                              std::size_t cap) {
+void AvoidWindow::push(util::Ring<TransactionId>& q, TransactionId id,
+                       std::size_t cap) {
   q.push_back(id);
-  ++avoid_counts_[id];
+  const std::uint64_t v = id.value();
+  if (counts_.add(v) && ranked() && v < pool_) {
+    bits_[v / 64] |= std::uint64_t{1} << (v % 64);
+    ++bits_set_;
+  }
   trim(q, cap);
 }
 
-void AvoidWindow::observe(TransactionId id) {
-  push_recent(recent_, id, window());
-}
+void AvoidWindow::observe(TransactionId id) { push(recent_, id, window()); }
 
 void AvoidWindow::notify_collision(TransactionId id) {
   if (!config_.heed_notifications) return;
-  push_recent(quarantined_, id, window() * config_.notification_multiplier);
+  push(quarantined_, id, window() * config_.notification_multiplier);
 }
 
 // --- UniformSelector --------------------------------------------------------
@@ -204,7 +295,7 @@ TransactionId UniformSelector::do_select() {
 
 ListeningSelector::ListeningSelector(IdSpace space, std::uint64_t seed,
                                      ListeningConfig config)
-    : IdSelector(space), rng_(seed), window_(config) {}
+    : IdSelector(space), rng_(seed), window_(space, config) {}
 
 std::string_view ListeningSelector::name() const {
   return to_string(SelectorPolicy::kListening);
@@ -244,23 +335,16 @@ TransactionId ListeningSelector::do_select() {
     return TransactionId(rng_.below(pool));
   }
 
-  // Small pool: enumerate the complement for exact uniform selection even
-  // when the avoid set covers most of it.
-  constexpr std::uint64_t kEnumerateLimit = 4096;
-  if (pool <= kEnumerateLimit) {
-    std::vector<TransactionId> candidates;
-    candidates.reserve(static_cast<std::size_t>(pool) - window_.avoided());
-    for (std::uint64_t v = 0; v < pool; ++v) {
-      const TransactionId id(v);
-      if (!window_.avoiding(id)) candidates.push_back(id);
-    }
-    assert(!candidates.empty());
-    return candidates[static_cast<std::size_t>(rng_.below(candidates.size()))];
+  // Small pool: one draw over the complement, then the k-th free id by
+  // rank — exactly uniform even when the avoid set covers most of it, and
+  // the same draw and id as enumerating the complement in ascending order.
+  if (window_.ranked()) {
+    return window_.nth_free(rng_.below(window_.free_ids()));
   }
 
   // Large pool: rejection sampling — exactly uniform over the complement.
   // The avoid set is at most a few windows (<< 4096) while the pool exceeds
-  // 4096, so acceptance probability is > 1/2 and the attempt bound is
+  // AvoidWindow::kBitmapPool, so acceptance probability is > 1/2 and the attempt bound is
   // effectively never reached; it exists to guarantee termination.
   constexpr int kMaxAttempts = 128;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
@@ -357,7 +441,7 @@ TransactionId PermutationSelector::do_select() {
 
 HybridSelector::HybridSelector(IdSpace space, std::uint64_t seed,
                                ListeningConfig config, std::uint64_t period)
-    : IdSelector(space), walk_(space, seed, period), window_(config) {}
+    : IdSelector(space), walk_(space, seed, period), window_(space, config) {}
 
 std::string_view HybridSelector::name() const {
   return to_string(SelectorPolicy::kHybrid);

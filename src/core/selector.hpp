@@ -24,17 +24,16 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/identifier.hpp"
 #include "obs/metrics.hpp"
 #include "util/random.hpp"
 #include "util/result.hpp"
+#include "util/ring.hpp"
 
 namespace retri::core {
 
@@ -202,16 +201,33 @@ util::Result<SelectorSpec, std::string> parse_selector_spec(
 /// selector can reuse it: a window of recently heard ids (2T adaptive or
 /// fixed) plus an optional longer quarantine for notified collisions, with
 /// an exact multiset membership count across both queues.
+///
+/// Flat storage (DESIGN.md §5k): both queues are rings, the counts live in
+/// an open-addressing table, and pools of at most kBitmapPool ids also keep
+/// a bitmap of the avoided ids, which answers avoiding() with one bit test
+/// and lets the listening selector pick the k-th free id by rank. Once the
+/// window has reached its size nothing here allocates.
 class AvoidWindow {
  public:
-  /// Applies validated(config).
-  explicit AvoidWindow(ListeningConfig config);
+  /// Largest pool that gets the avoided-id bitmap (64 words).
+  static constexpr std::uint64_t kBitmapPool = 4096;
+
+  /// Applies validated(config). `space` sizes the bitmap.
+  AvoidWindow(IdSpace space, ListeningConfig config);
 
   /// Current avoidance window in transactions (2T, or the fixed override).
   std::size_t window() const noexcept;
   /// Number of distinct identifiers currently avoided.
-  std::size_t avoided() const noexcept { return avoid_counts_.size(); }
-  bool avoiding(TransactionId id) const { return avoid_counts_.contains(id); }
+  std::size_t avoided() const noexcept { return counts_.size(); }
+  bool avoiding(TransactionId id) const noexcept;
+
+  /// True when the pool has the bitmap (pool <= kBitmapPool).
+  bool ranked() const noexcept { return !bits_.empty(); }
+  /// Ids of the pool not avoided. Requires ranked().
+  std::uint64_t free_ids() const noexcept { return pool_ - bits_set_; }
+  /// The k-th id of the pool, in ascending order, that is not avoided.
+  /// Requires ranked() and k < free_ids().
+  TransactionId nth_free(std::uint64_t k) const noexcept;
 
   void observe(TransactionId id);
   /// No-op unless config.heed_notifications.
@@ -222,16 +238,43 @@ class AvoidWindow {
   const ListeningConfig& config() const noexcept { return config_; }
 
  private:
-  void push_recent(std::deque<TransactionId>& q, TransactionId id,
-                   std::size_t cap);
-  void trim(std::deque<TransactionId>& q, std::size_t cap);
+  /// Id -> occurrences across both queues, open addressing with linear
+  /// probing; a zero count marks an empty slot. Grows (doubling) only when
+  /// half full, so a steady window never rehashes.
+  class Counts {
+   public:
+    std::size_t size() const noexcept { return size_; }
+    bool contains(std::uint64_t id) const noexcept;
+    /// Adds one occurrence; returns true when `id` was absent before.
+    bool add(std::uint64_t id);
+    /// Removes one occurrence of a present id; returns true when that was
+    /// its last one.
+    bool remove(std::uint64_t id) noexcept;
+
+   private:
+    struct Slot {
+      std::uint64_t id = 0;
+      std::uint32_t count = 0;
+    };
+    std::size_t home(std::uint64_t id) const noexcept;
+    void grow();
+
+    std::vector<Slot> slots_;  // power-of-two length (or empty)
+    std::size_t size_ = 0;
+    unsigned shift_ = 64;      // 64 - log2(slots_.size())
+  };
+
+  void push(util::Ring<TransactionId>& q, TransactionId id, std::size_t cap);
+  void trim(util::Ring<TransactionId>& q, std::size_t cap);
 
   ListeningConfig config_;
   double density_;
-  std::deque<TransactionId> recent_;       // heard ids, newest at back
-  std::deque<TransactionId> quarantined_;  // notified collisions
-  // id -> number of occurrences across both deques (membership test).
-  std::unordered_map<TransactionId, std::uint32_t> avoid_counts_;
+  std::uint64_t pool_;
+  util::Ring<TransactionId> recent_;       // heard ids, newest at back
+  util::Ring<TransactionId> quarantined_;  // notified collisions
+  Counts counts_;
+  std::vector<std::uint64_t> bits_;  // avoided ids < pool_, when ranked()
+  std::uint64_t bits_set_ = 0;       // popcount of bits_
 };
 
 // --- the zoo ----------------------------------------------------------------
@@ -253,8 +296,8 @@ class UniformSelector final : public IdSelector {
 /// heard within the most recent 2T observed transactions.
 ///
 /// Selection is exactly uniform over the complement of the avoid set: for
-/// small identifier pools the complement is enumerated; for large pools
-/// rejection sampling is used (which is also exactly uniform over the
+/// small identifier pools one draw picks the k-th free id by rank; for
+/// large pools rejection sampling is used (which is also exactly uniform over the
 /// complement, with a bounded-attempt fallback to plain uniform in the
 /// pathological case of an avoid set covering almost the whole pool).
 class ListeningSelector final : public IdSelector {

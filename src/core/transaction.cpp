@@ -10,47 +10,48 @@ TxHandle TransactionRegistry::begin(TransactionId id) {
   concurrency_sum_at_begin_ += static_cast<double>(live_.size()) + 1.0;
 
   const std::uint64_t serial = next_serial_++;
-  auto& holders = by_id_[id];
-  const bool collides = !holders.empty();
-  if (collides) {
-    for (const std::uint64_t other : holders) live_[other].doomed = true;
+  bool collides = false;
+  for (Live& other : live_) {
+    if (other.id == id) {
+      other.doomed = true;
+      collides = true;
+    }
   }
-  holders.push_back(serial);
-  live_.emplace(serial, Live{id, collides});
+  live_.push_back(Live{serial, id, collides});
   max_concurrency_ = std::max(max_concurrency_, live_.size());
   return TxHandle{serial};
 }
 
-bool TransactionRegistry::end(TxHandle handle) {
-  auto it = live_.find(handle.serial);
-  if (it == live_.end()) return false;
-  const bool clean = !it->second.doomed;
-  const TransactionId id = it->second.id;
+const TransactionRegistry::Live* TransactionRegistry::find(
+    std::uint64_t serial) const {
+  const auto it = std::lower_bound(
+      live_.begin(), live_.end(), serial,
+      [](const Live& l, std::uint64_t s) { return l.serial < s; });
+  return it != live_.end() && it->serial == serial ? &*it : nullptr;
+}
 
-  auto holders_it = by_id_.find(id);
-  if (holders_it != by_id_.end()) {
-    auto& vec = holders_it->second;
-    vec.erase(std::remove(vec.begin(), vec.end(), handle.serial), vec.end());
-    if (vec.empty()) by_id_.erase(holders_it);
-  }
-  live_.erase(it);
+bool TransactionRegistry::end(TxHandle handle) {
+  const Live* live = find(handle.serial);
+  if (live == nullptr) return false;
+  const bool clean = !live->doomed;
+  live_.erase(live_.begin() + (live - live_.data()));
 
   if (clean) ++succeeded_; else ++collided_;
   return clean;
 }
 
 bool TransactionRegistry::active(TxHandle handle) const {
-  return live_.contains(handle.serial);
+  return find(handle.serial) != nullptr;
 }
 
 bool TransactionRegistry::doomed(TxHandle handle) const {
-  auto it = live_.find(handle.serial);
-  return it != live_.end() && it->second.doomed;
+  const Live* live = find(handle.serial);
+  return live != nullptr && live->doomed;
 }
 
 std::size_t TransactionRegistry::holders(TransactionId id) const {
-  auto it = by_id_.find(id);
-  return it == by_id_.end() ? 0 : it->second.size();
+  return static_cast<std::size_t>(std::count_if(
+      live_.begin(), live_.end(), [id](const Live& l) { return l.id == id; }));
 }
 
 double TransactionRegistry::mean_concurrency_at_begin() const noexcept {

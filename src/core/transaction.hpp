@@ -12,10 +12,14 @@
 // whether the transaction survived. The Monte-Carlo validation of Eq. 4
 // (tests and bench/fig3) is a direct loop over this registry, independent
 // of the radio stack.
+//
+// The active set is one flat vector in begin() order, so the registry
+// allocates only while it grows past its largest concurrency: the
+// Monte-Carlo loops reuse one instance for every probe.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/identifier.hpp"
@@ -61,12 +65,18 @@ class TransactionRegistry {
 
  private:
   struct Live {
+    std::uint64_t serial = 0;
     TransactionId id;
     bool doomed = false;
   };
 
-  std::unordered_map<std::uint64_t, Live> live_;             // serial -> state
-  std::unordered_map<TransactionId, std::vector<std::uint64_t>> by_id_;
+  /// The active entry for `serial`, or nullptr.
+  const Live* find(std::uint64_t serial) const;
+
+  // Active transactions, ascending serial (begin() appends the next
+  // serial). begin() and holders() scan it for an id: the concurrency is
+  // the model's few overlapping transactions, not the id space.
+  std::vector<Live> live_;
   std::uint64_t next_serial_ = 0;
   std::uint64_t succeeded_ = 0;
   std::uint64_t collided_ = 0;

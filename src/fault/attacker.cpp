@@ -125,9 +125,9 @@ void AttackerNode::forge_transaction(core::TransactionId id) {
       radio_.config().max_frame_bytes - aff::data_header_bytes(wire_);
   const std::size_t junk_len = std::min(plan_.junk_bytes, max_payload);
 
-  util::Bytes junk(junk_len);
+  junk_.resize(junk_len);
   for (std::size_t i = 0; i < junk_len; ++i) {
-    junk[i] = static_cast<std::uint8_t>(junk_rng_.next());
+    junk_[i] = static_cast<std::uint8_t>(junk_rng_.next());
   }
 
   // The advertised checksum is drawn at random, so the forged transaction
@@ -142,7 +142,7 @@ void AttackerNode::forge_transaction(core::TransactionId id) {
   aff::DataFragment data;
   data.id = id;
   data.offset = 0;
-  data.payload = junk;
+  data.payload = junk_;
 
   // The attacker's forged packets carry its own (node, seq) true ids, so
   // instrumented truth accounting stays collision-free and the ground
@@ -153,9 +153,14 @@ void AttackerNode::forge_transaction(core::TransactionId id) {
       wire_.instrumented ? std::optional<std::uint64_t>(true_id)
                          : std::nullopt;
 
-  radio_.send(aff::encode_intro(wire_, intro, instrumented));
+  util::SharedBytes intro_frame = radio_.frame_pool().acquire();
+  aff::encode_intro_into(wire_, intro, instrumented,
+                         intro_frame.mutable_bytes());
+  radio_.send(std::move(intro_frame));
   counters_.frames_forged.inc();
-  radio_.send(aff::encode_data(wire_, data, instrumented));
+  util::SharedBytes data_frame = radio_.frame_pool().acquire();
+  aff::encode_data_into(wire_, data, instrumented, data_frame.mutable_bytes());
+  radio_.send(std::move(data_frame));
   counters_.frames_forged.inc();
 }
 
@@ -172,22 +177,22 @@ void AttackerNode::snoop(const util::SharedBytes& payload) {
       plan_.echo_delay, [this, victim] { forge_transaction(victim); });
 }
 
-std::vector<sim::DeliveryInterceptor::Injected> AttackerNode::intercept(
-    sim::NodeId from, sim::NodeId to, const util::SharedBytes& payload) {
-  std::vector<sim::DeliveryInterceptor::Injected> copies;
+void AttackerNode::intercept(sim::NodeId from, sim::NodeId to,
+                             const util::SharedBytes& payload,
+                             std::vector<Injected>& out) {
+  const std::size_t first = out.size();
   if (inner_ != nullptr) {
-    copies = inner_->intercept(from, to, payload);
+    inner_->intercept(from, to, payload, out);
   } else {
-    copies.push_back({payload, sim::Duration::nanoseconds(0)});
+    out.push_back({payload, sim::Duration::nanoseconds(0)});
   }
   // Snoop only the copies that actually reach the attacker's position —
   // the interception seam is a convenience, not x-ray vision: a frame the
   // channel dropped for everyone is not overheard either.
   if (armed_ && plan_.mode == AttackerMode::kEchoCollide && to == node_ &&
       from != node_ && radio_.simulator().now() < until_) {
-    for (const auto& copy : copies) snoop(copy.payload);
+    for (std::size_t i = first; i < out.size(); ++i) snoop(out[i].payload);
   }
-  return copies;
 }
 
 }  // namespace retri::fault

@@ -123,9 +123,9 @@ class AttackerNode final : public sim::DeliveryInterceptor {
   /// window. Without start() the attacker stays dormant.
   void start(sim::TimePoint until);
 
-  std::vector<sim::DeliveryInterceptor::Injected> intercept(
-      sim::NodeId from, sim::NodeId to,
-      const util::SharedBytes& payload) override;
+  void intercept(sim::NodeId from, sim::NodeId to,
+                 const util::SharedBytes& payload,
+                 std::vector<Injected>& out) override;
 
   const AttackerPlan& plan() const noexcept { return plan_; }
   radio::Radio& radio() noexcept { return radio_; }
@@ -158,6 +158,7 @@ class AttackerNode final : public sim::DeliveryInterceptor {
   util::Xoshiro256 guess_rng_;  // blind-flood identifier guesses
   util::Xoshiro256 echo_rng_;   // echo-probability decisions
   util::Xoshiro256 junk_rng_;   // forged payload content and checksums
+  util::Bytes junk_;            // forged payload, reused across forgeries
   std::uint64_t next_true_seq_ = 0;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // fallback registry
   Counters counters_;

@@ -81,13 +81,14 @@ void FaultInjector::corrupt(util::Bytes& frame) {
   }
 }
 
-std::vector<sim::DeliveryInterceptor::Injected> FaultInjector::intercept(
-    sim::NodeId from, sim::NodeId to, const util::SharedBytes& payload) {
+void FaultInjector::intercept(sim::NodeId from, sim::NodeId to,
+                              const util::SharedBytes& payload,
+                              std::vector<Injected>& out) {
   counters_.intercepted.inc();
 
   if (plan_.burst.active() && burst_lost(from, to)) {
     counters_.dropped_burst.inc();
-    return {};
+    return;
   }
   counters_.forwarded.inc();
 
@@ -98,10 +99,8 @@ std::vector<sim::DeliveryInterceptor::Injected> FaultInjector::intercept(
                       duplicate_rng_.below(plan_.max_duplicates));
   }
 
-  std::vector<sim::DeliveryInterceptor::Injected> out;
-  out.reserve(copies);
   for (std::size_t i = 0; i < copies; ++i) {
-    sim::DeliveryInterceptor::Injected copy;
+    Injected copy;
     copy.payload = payload;  // shares the buffer until a fault mutates it
     if (!copy.payload.empty() && plan_.truncate_prob > 0.0 &&
         truncate_rng_.chance(plan_.truncate_prob)) {
@@ -125,7 +124,6 @@ std::vector<sim::DeliveryInterceptor::Injected> FaultInjector::intercept(
     out.push_back(std::move(copy));
   }
   counters_.copies_emitted.inc(copies);
-  return out;
 }
 
 }  // namespace retri::fault

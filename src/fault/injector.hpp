@@ -54,9 +54,9 @@ class FaultInjector final : public sim::DeliveryInterceptor {
   /// keeps working standalone.
   FaultInjector(FaultPlan plan, std::uint64_t seed, obs::Hooks hooks = {});
 
-  std::vector<sim::DeliveryInterceptor::Injected> intercept(
-      sim::NodeId from, sim::NodeId to,
-      const util::SharedBytes& payload) override;
+  void intercept(sim::NodeId from, sim::NodeId to,
+                 const util::SharedBytes& payload,
+                 std::vector<Injected>& out) override;
 
   const FaultPlan& plan() const noexcept { return plan_; }
   /// Snapshot of the tallies, BY VALUE (see FaultStatsSnapshot).

@@ -185,7 +185,9 @@ class MetricsRegistry {
   MetricValue* register_slot(std::string&& name, MetricKind kind);
 
   std::deque<MetricValue> slots_;  // deque: stable addresses for handles
-  std::unordered_map<std::string, std::size_t> index_;
+  // Keys view the slots' own names (stable, like the slots), so a name is
+  // stored once.
+  std::unordered_map<std::string_view, std::size_t> index_;
 };
 
 /// Optional observability attachments threaded through component

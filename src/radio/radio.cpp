@@ -36,7 +36,7 @@ sim::Duration Radio::airtime(std::size_t payload_bytes) const noexcept {
   return sim::Duration::from_seconds(bits / config_.bitrate_bps);
 }
 
-bool Radio::send(util::Bytes frame) {
+bool Radio::send(util::SharedBytes frame) {
   if (frame.size() > config_.max_frame_bytes) {
     ++counters_.frames_rejected;
     return false;
@@ -59,7 +59,7 @@ void Radio::start_next() {
 
   medium_.simulator().schedule_after(backoff, [this]() {
     assert(!queue_.empty());
-    util::Bytes frame = std::move(queue_.front());
+    util::SharedBytes frame = std::move(queue_.front());
     queue_.pop_front();
 
     const std::uint64_t bits = frame.size() * 8;

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "radio/energy.hpp"
@@ -20,6 +19,7 @@
 #include "sim/time.hpp"
 #include "util/bytes.hpp"
 #include "util/random.hpp"
+#include "util/ring.hpp"
 
 namespace retri::radio {
 
@@ -80,7 +80,16 @@ class Radio {
   /// Queues a frame for transmission. Returns false (and counts a
   /// rejection) if the frame exceeds max_frame_bytes; the frame is dropped,
   /// matching the RPC controller's behaviour of refusing oversized frames.
-  bool send(util::Bytes frame);
+  /// The queue and the medium carry the buffer itself: a frame encoded into
+  /// frame_pool() goes on the air without an allocation.
+  bool send(util::SharedBytes frame);
+  /// Adopts `frame` into a frame_pool() buffer and sends it.
+  bool send(util::Bytes frame) {
+    return send(frame_pool().adopt(std::move(frame)));
+  }
+
+  /// The medium's frame buffers, for encoding frames to send().
+  util::FramePool& frame_pool() noexcept { return medium_.frame_pool(); }
 
   /// Time a frame of `payload_bytes` occupies the channel, including the
   /// energy model's per-frame overhead bits.
@@ -104,7 +113,7 @@ class Radio {
   EnergyMeter energy_;
   util::Xoshiro256 rng_;
   RxCallback rx_callback_;
-  std::deque<util::Bytes> queue_;
+  util::Ring<util::SharedBytes> queue_;
   bool busy_ = false;
   bool listening_ = true;
   RadioCounters counters_;

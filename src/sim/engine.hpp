@@ -41,8 +41,8 @@ namespace retri::sim {
 /// fit kInlineBytes (and are nothrow-movable, so slab growth can relocate
 /// them) are stored inline in the event slot; anything larger falls back to
 /// one heap allocation. The budget is sized for the biggest closure the
-/// simulation core schedules — BroadcastMedium's delivery closure (~56
-/// bytes: medium pointer, node ids, reception slot, SharedBytes, two
+/// simulation core schedules — BroadcastMedium's delivery closure (~40
+/// bytes: medium pointer, batch index, sender id, SharedBytes, two
 /// timestamps) — with headroom; tests assert representative captures stay
 /// inline (test_engine.cpp, test_alloc_hot_path.cpp).
 class EventFn {

@@ -180,7 +180,7 @@ void BroadcastMedium::trace_event(TraceEvent::Kind kind, NodeId from,
   }
 }
 
-void BroadcastMedium::transmit(NodeId from, util::Bytes payload,
+void BroadcastMedium::transmit(NodeId from, util::SharedBytes payload,
                                Duration airtime) {
   assert(from < topology_.size());
   if (!enabled(from)) return;
@@ -195,10 +195,6 @@ void BroadcastMedium::transmit(NodeId from, util::Bytes payload,
     tx_first_start_[from] = start;  // new busy burst
   }
   tx_busy_until_[from] = std::max(tx_busy_until_[from], end);
-
-  // One buffer for the whole broadcast: the delivery batch holds a single
-  // refcount on it instead of one vector copy (or closure) per listener.
-  const util::SharedBytes shared_payload{std::move(payload)};
 
   // Snapshot the audience into a pooled batch and schedule ONE delivery
   // event spanning it, instead of one closure per listener. Counters, rx
@@ -239,10 +235,11 @@ void BroadcastMedium::transmit(NodeId from, util::Bytes payload,
     (void)start_ns;  // only read by the assert above
   }
 
+  // One buffer for the whole broadcast: the delivery event holds a single
+  // refcount on it instead of one vector copy (or closure) per listener.
   sim_.schedule_at(end + config_.propagation_delay,
-                   [this, batch, from, shared_payload, start, end]() {
-                     on_batch(batch, from, shared_payload, start, end);
-                   });
+                   [this, batch, from, payload = std::move(payload), start,
+                    end]() { on_batch(batch, from, payload, start, end); });
 }
 
 void BroadcastMedium::on_batch(std::uint32_t batch, NodeId from,
@@ -315,27 +312,36 @@ void BroadcastMedium::deliver(NodeId from, NodeId listener,
 
 void BroadcastMedium::deliver_through_interceptor(
     NodeId from, NodeId listener, const util::SharedBytes& payload) {
-  std::vector<DeliveryInterceptor::Injected> copies =
-      interceptor_->intercept(from, listener, payload);
-  if (copies.empty()) {
+  // This delivery's copies are intercepted_[first, first + copies). A
+  // handler may re-enter delivery, append past them and restore the size,
+  // so entries are re-indexed on every access rather than held by
+  // reference.
+  const std::size_t first = intercepted_.size();
+  interceptor_->intercept(from, listener, payload, intercepted_);
+  const std::size_t copies = intercepted_.size() - first;
+  if (copies == 0) {
     counters_.lost_fault.inc();
     trace_event(TraceEvent::Kind::kLostFault, from, listener, payload.size());
-    return;
+  } else {
+    counters_.fault_extra_deliveries.inc(
+        static_cast<std::uint64_t>(copies) - 1);
   }
-  counters_.fault_extra_deliveries.inc(
-      static_cast<std::uint64_t>(copies.size()) - 1);
-  for (DeliveryInterceptor::Injected& copy : copies) {
-    assert(copy.extra_delay.ns() >= 0);
-    if (copy.extra_delay.ns() <= 0) {
-      deliver(from, listener, copy.payload);
+  for (std::size_t i = first; i < first + copies; ++i) {
+    const Duration extra_delay = intercepted_[i].extra_delay;
+    assert(extra_delay.ns() >= 0);
+    if (extra_delay.ns() <= 0) {
+      // Held by value: the handler may re-enter and reallocate the buffer.
+      const util::SharedBytes now = intercepted_[i].payload;
+      deliver(from, listener, now);
       continue;
     }
     // Delayed copies re-check the listener's power state at arrival: a
     // crash while the copy was in flight is an ordinary lost_disabled,
     // keeping the conservation law exact under churn.
     sim_.schedule_after(
-        copy.extra_delay,
-        [this, from, listener, delayed = std::move(copy.payload)]() {
+        extra_delay,
+        [this, from, listener,
+         delayed = std::move(intercepted_[i].payload)]() {
           if (!enabled(listener)) {
             counters_.lost_disabled.inc();
             trace_event(TraceEvent::Kind::kLostDisabled, from, listener,
@@ -345,6 +351,9 @@ void BroadcastMedium::deliver_through_interceptor(
           deliver(from, listener, delayed);
         });
   }
+  // Drop the buffer references now, as a per-call vector going out of
+  // scope would, so copy-on-write sees the same use counts.
+  intercepted_.resize(first);
 }
 
 }  // namespace retri::sim

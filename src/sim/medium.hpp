@@ -68,7 +68,8 @@ struct MediumStatsSnapshot {
   std::uint64_t fault_extra_deliveries = 0;
 };
 
-/// Delivery-path decorator hook (implemented by fault::FaultInjector).
+/// Delivery-path decorator hook (implemented by fault::FaultInjector and
+/// fault::AttackerNode).
 ///
 /// For each delivery that survived every native impairment (enabled, RF
 /// collision, half-duplex, per-link random loss), the medium asks the
@@ -78,6 +79,15 @@ struct MediumStatsSnapshot {
 /// are rescheduled and re-checked against the listener's power state at
 /// their new delivery time (a crash between injection and arrival counts
 /// as lost_disabled).
+///
+/// The interceptor APPENDS its copies to `out`, a buffer the medium owns
+/// and reuses, so a steady-state interception allocates nothing. `out`
+/// may already hold entries: an interceptor must only append, and a
+/// chaining interceptor (the attacker over an injector) reads the copies
+/// from the size `out` had on entry. The medium shrinks the buffer back
+/// to that size once the copies are dispatched, so no
+/// SharedBytes reference outlives the delivery and copy-on-write counts
+/// are what they would be with a fresh vector per call.
 ///
 /// Payloads are SharedBytes: a passthrough copy (`copy.payload = payload`)
 /// shares the buffer with every other listener at refcount cost only; an
@@ -93,8 +103,10 @@ class DeliveryInterceptor {
   virtual ~DeliveryInterceptor() = default;
 
   /// Called once per surviving delivery, in deterministic event order.
-  virtual std::vector<Injected> intercept(NodeId from, NodeId to,
-                                          const util::SharedBytes& payload) = 0;
+  /// Appends what arrives to `out`; appending nothing loses the delivery.
+  virtual void intercept(NodeId from, NodeId to,
+                         const util::SharedBytes& payload,
+                         std::vector<Injected>& out) = 0;
 };
 
 class BroadcastMedium {
@@ -117,8 +129,17 @@ class BroadcastMedium {
 
   /// Broadcasts `payload`, occupying the channel for `airtime`. Deliveries
   /// to each audible listener are scheduled at now + airtime + propagation.
-  /// Disabled senders transmit nothing.
-  void transmit(NodeId from, util::Bytes payload, Duration airtime);
+  /// Disabled senders transmit nothing. Every listener's delivery shares
+  /// the one buffer; a payload from frame_pool() costs no allocation.
+  void transmit(NodeId from, util::SharedBytes payload, Duration airtime);
+  /// Adopts `payload` into a frame_pool() buffer and transmits it.
+  void transmit(NodeId from, util::Bytes payload, Duration airtime) {
+    transmit(from, frames_.adopt(std::move(payload)), airtime);
+  }
+
+  /// The trial's frame buffers (DESIGN.md §5e): senders encode frames into
+  /// buffers acquired here, and transmit() and every delivery share them.
+  util::FramePool& frame_pool() noexcept { return frames_; }
 
   /// Powers a node on/off. Off nodes neither transmit nor receive; frames
   /// addressed to them while off are counted as lost_disabled.
@@ -230,6 +251,8 @@ class BroadcastMedium {
   };
 
   Simulator& sim_;
+  // Declared early so it outlives every member that may hold its buffers.
+  util::FramePool frames_;
   Topology topology_;
   MediumConfig config_;
   util::Xoshiro256 rng_;
@@ -240,6 +263,9 @@ class BroadcastMedium {
   Counters counters_;
   TraceRecorder* trace_ = nullptr;
   DeliveryInterceptor* interceptor_ = nullptr;
+  // Interceptor output, reused across deliveries. A re-entrant delivery
+  // appends past the copies being dispatched and shrinks back to them.
+  std::vector<DeliveryInterceptor::Injected> intercepted_;
   std::vector<RxHandler> handlers_;
   std::vector<char> enabled_;
   // Reception pool, SoA (rf_collisions mode only): a reception is a slot

@@ -1,9 +1,72 @@
 #include "util/bytes.hpp"
 
+#include <memory>
+
 #include "util/bitops.hpp"
 #include "util/random.hpp"
 
 namespace retri::util {
+
+Bytes& SharedBytes::mutable_bytes() {
+  if (block_ == nullptr) {
+    block_ = new Block{};
+  } else if (block_->refs > 1) {
+    Block* clone =
+        block_->pool != nullptr ? block_->pool->take() : new Block{};
+    clone->bytes.assign(block_->bytes.begin(), block_->bytes.end());
+    --block_->refs;  // still shared: never the last reference
+    block_ = clone;
+  }
+  return block_->bytes;
+}
+
+void SharedBytes::release() noexcept {
+  if (block_ == nullptr || --block_->refs != 0) return;
+  if (block_->pool != nullptr) {
+    block_->pool->recycle(block_);
+  } else {
+    delete block_;
+  }
+  block_ = nullptr;
+}
+
+FramePool::~FramePool() {
+  for (Block* block : blocks_) {
+    if (block->refs == 0) {
+      delete block;
+    } else {
+      block->pool = nullptr;  // the last release frees it
+    }
+  }
+}
+
+FramePool::Block* FramePool::take() {
+  Block* block = free_;
+  if (block != nullptr) {
+    free_ = block->next_free;
+    block->next_free = nullptr;
+    block->refs = 1;
+    block->bytes.clear();
+    return block;
+  }
+  auto fresh = std::make_unique<Block>();
+  fresh->pool = this;
+  blocks_.push_back(fresh.get());
+  return fresh.release();
+}
+
+void FramePool::recycle(Block* block) noexcept {
+  block->next_free = free_;
+  free_ = block;
+}
+
+SharedBytes FramePool::acquire() { return SharedBytes(take()); }
+
+SharedBytes FramePool::adopt(Bytes bytes) {
+  Block* block = take();
+  block->bytes = std::move(bytes);
+  return SharedBytes(block);
+}
 
 void BufferWriter::u16(std::uint16_t v) {
   buf_.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -110,10 +173,15 @@ std::string to_hex(BytesView data) {
 }
 
 Bytes random_payload(std::size_t n, std::uint64_t seed) {
-  Bytes out(n);
+  Bytes out;
+  fill_random_payload(out, n, seed);
+  return out;
+}
+
+void fill_random_payload(Bytes& out, std::size_t n, std::uint64_t seed) {
+  out.resize(n);
   Xoshiro256 rng(seed);
   for (auto& b : out) b = static_cast<std::uint8_t>(rng.next() & 0xff);
-  return out;
 }
 
 }  // namespace retri::util

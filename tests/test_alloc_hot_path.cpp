@@ -15,13 +15,20 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "aff/driver.hpp"
 #include "aff/reassembler.hpp"
 #include "aff/wire.hpp"
+#include "core/selector.hpp"
+#include "fault/attacker.hpp"
+#include "fault/injector.hpp"
 #include "obs/metrics.hpp"
+#include "radio/radio.hpp"
 #include "runner/experiment.hpp"
 #include "serve/codec.hpp"
 #include "sim/engine.hpp"
@@ -141,11 +148,13 @@ TEST(AllocHotPath, EngineChurnMixedAfterWarmupLap) {
       << "engine churn allocated more than 2 in the lap after warm-up";
 }
 
-// One transmit: 1 alloc for the caller's payload copy into transmit() plus
-// 1 for the shared buffer's control block, at every fan-out width and with
-// RF-collision tracking off or on. Deliveries themselves (pooled Reception
-// records, inline delivery closures, shared payload views) must not
-// allocate. Baseline before the refactor: 22 at 5 listeners.
+// One transmit of a caller-owned vector costs exactly the caller's copy:
+// transmit(Bytes) adopts the vector into a pooled buffer, so there is no
+// control block. A frame encoded into the medium's frame pool costs
+// nothing at all — at every fan-out width and with RF-collision tracking
+// off or on. Deliveries themselves (pooled reception records, inline
+// delivery closures, the one shared buffer) never allocate. Baseline before
+// the shared payload: 22 at 5 listeners.
 TEST(AllocHotPath, MediumFanoutSharesOnePayloadBuffer) {
   for (const std::size_t nodes : {std::size_t{5}, std::size_t{64}}) {
     for (const bool rf_collisions : {false, true}) {
@@ -156,20 +165,177 @@ TEST(AllocHotPath, MediumFanoutSharesOnePayloadBuffer) {
       config.rf_collisions = rf_collisions;
       sim::BroadcastMedium medium(sim, sim::Topology::star_full_mesh(nodes),
                                   config, 1);
+      std::size_t heard = 0;
+      for (sim::NodeId node = 0; node < nodes; ++node) {
+        medium.attach(node, [&heard](sim::NodeId, const util::Bytes& f) {
+          heard += f.size();
+        });
+      }
       const util::Bytes frame = util::random_payload(27, 1);
-      auto batch = [&sim, &medium, &frame] {
+      auto copied = [&sim, &medium, &frame] {
         for (int i = 0; i < kOps; ++i) {
           medium.transmit(0, util::Bytes(frame),
                           sim::Duration::microseconds(100));
           sim.run();
         }
       };
-      batch();  // warmup: reception pool + active lists reach capacity
+      auto pooled = [&sim, &medium, &frame] {
+        for (int i = 0; i < kOps; ++i) {
+          util::SharedBytes payload = medium.frame_pool().acquire();
+          payload.mutable_bytes().assign(frame.begin(), frame.end());
+          medium.transmit(0, std::move(payload),
+                          sim::Duration::microseconds(100));
+          sim.run();
+        }
+      };
+      copied();  // warmup: reception pool + active lists reach capacity
+      pooled();
+      const std::uint64_t before_copied = util::alloc_count();
+      copied();
+      EXPECT_EQ(util::alloc_count() - before_copied,
+                static_cast<std::uint64_t>(kOps))
+          << "transmit(Bytes) allocated beyond the caller's payload copy";
+      const std::uint64_t before_pooled = util::alloc_count();
+      pooled();
+      EXPECT_EQ(util::alloc_count() - before_pooled, 0u)
+          << "a pooled frame's transmit and fan-out allocated";
+      EXPECT_EQ(heard, 4 * static_cast<std::size_t>(kOps) * 27 * (nodes - 1));
+    }
+  }
+}
+
+// The whole send path of one AFF packet: listening id selection, fragment
+// encoding straight into pooled frames, the radio's ring queue, transmit,
+// fan-out, and decode plus reassembly at both receivers. After a warm-up
+// lap the next 16 packets allocate nothing.
+TEST(AllocHotPath, AffSendPathIsAllocationFree) {
+  constexpr std::size_t kNodes = 3;
+  sim::Simulator sim;
+  sim::BroadcastMedium medium(sim, sim::Topology::full_mesh(kNodes),
+                              sim::MediumConfig{}, 1);
+  aff::AffDriverConfig config;
+  config.wire.id_bits = 8;
+  config.wire.instrumented = true;
+  std::vector<std::unique_ptr<radio::Radio>> radios;
+  std::vector<std::unique_ptr<core::IdSelector>> selectors;
+  std::vector<std::unique_ptr<aff::AffDriver>> drivers;
+  for (sim::NodeId node = 0; node < kNodes; ++node) {
+    radios.push_back(std::make_unique<radio::Radio>(
+        medium, node, radio::RadioConfig{}, radio::EnergyModel::rpc_like(),
+        10 + node));
+    selectors.push_back(core::make_selector(core::listening_selector(),
+                                            core::IdSpace(8), 20 + node));
+    drivers.push_back(std::make_unique<aff::AffDriver>(
+        *radios.back(), *selectors.back(), config, node));
+  }
+  std::size_t delivered = 0;
+  drivers[1]->set_packet_handler(
+      [&delivered](const util::Bytes& packet) { delivered += packet.size(); });
+  const util::Bytes packet = util::random_payload(80, 3);
+  auto lap = [&] {
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_TRUE(drivers[0]->send_packet(packet));
+      sim.run();
+    }
+  };
+  lap();  // warmup: frame pool, ring queues, reassembly slots, windows
+  const std::uint64_t before = util::alloc_count();
+  lap();
+  EXPECT_EQ(util::alloc_count() - before, 0u)
+      << "sending a packet through driver, radio and medium allocated";
+  EXPECT_EQ(delivered, 32 * packet.size());
+}
+
+// Every delivery through the attacker's interception seam, alone and
+// chained over a FaultInjector that drops, duplicates, truncates, corrupts
+// and delays: the copies go into the medium's reused buffer, corrupted
+// copies clone into pooled frames, and the echoed forgeries the attacker
+// sends are encoded into pooled frames too.
+TEST(AllocHotPath, InterceptedDeliveryIsAllocationFree) {
+  for (const bool chained : {false, true}) {
+    SCOPED_TRACE(chained ? "attacker over FaultInjector" : "attacker alone");
+    sim::Simulator sim;
+    sim::BroadcastMedium medium(sim, sim::Topology::full_mesh(3),
+                                sim::MediumConfig{}, 1);
+    fault::FaultPlan plan;
+    plan.burst.p_good_to_bad = 0.05;
+    plan.burst.p_bad_to_good = 0.5;
+    plan.duplicate_prob = 0.3;
+    plan.max_duplicates = 2;
+    plan.truncate_prob = 0.1;
+    plan.corrupt_prob = 0.2;
+    plan.delay_prob = 0.3;
+    plan.max_delay = sim::Duration::milliseconds(2);
+    fault::FaultInjector injector(plan, 7);
+    aff::WireConfig wire;
+    wire.id_bits = 8;
+    fault::AttackerPlan attack;
+    attack.mode = fault::AttackerMode::kEchoCollide;
+    fault::AttackerNode attacker(medium, 2, attack, wire, 11);
+    if (chained) attacker.set_inner(&injector);
+    medium.set_interceptor(&attacker);
+    attacker.start(sim::TimePoint::origin() + sim::Duration::seconds(3600));
+    std::size_t heard = 0;
+    medium.attach(1, [&heard](sim::NodeId, const util::Bytes& frame) {
+      heard += frame.size();
+    });
+    const aff::IntroFragment intro{core::TransactionId(5), 80, 0x1234u};
+    auto lap = [&] {
+      for (int i = 0; i < 64; ++i) {
+        util::SharedBytes frame = medium.frame_pool().acquire();
+        aff::encode_intro_into(wire, intro, std::nullopt,
+                               frame.mutable_bytes());
+        medium.transmit(0, std::move(frame), sim::Duration::microseconds(500));
+        sim.run();
+      }
+    };
+    // Warm-up: the interception buffer, frame pool and link states grow in
+    // the first lap. The delayed copies also scatter over the event queue's
+    // ladder buckets, which regrow a vector at each new peak of live
+    // buckets (5 and 2 allocations in the chained case's second and fifth
+    // laps, none after; EngineChurnMixedAfterWarmupLap holds the engine's
+    // own budget).
+    for (int i = 0; i < 5; ++i) lap();
+    const std::uint64_t echoes = attacker.stats().echoes_sent;
+    const std::uint64_t before = util::alloc_count();
+    lap();
+    EXPECT_EQ(util::alloc_count() - before, 0u)
+        << "an intercepted delivery allocated";
+    EXPECT_GT(attacker.stats().echoes_sent, echoes);
+    EXPECT_GT(heard, 0u);
+  }
+}
+
+// The listening window's flat storage: rings, the open-addressing count
+// table and, at H = 6, the rank-select bitmap. Once a lap has grown them
+// to the window's size, observe, notify, set_density and select allocate
+// nothing, for the listening and the hybrid selector, on both sides of the
+// bitmap limit.
+TEST(AllocHotPath, ListeningAndHybridWindowsAreAllocationFree) {
+  for (const unsigned bits : {6u, 16u}) {
+    for (core::SelectorSpec spec :
+         {core::listening_selector(true), core::hybrid_selector()}) {
+      spec.listening.heed_notifications = true;
+      SCOPED_TRACE(testing::Message()
+                   << core::describe(spec) << " H=" << bits);
+      const core::IdSpace space(bits);
+      const auto selector = core::make_selector(spec, space, 9);
+      std::uint64_t sink = 0;
+      auto lap = [&] {
+        util::Xoshiro256 ops(77);
+        for (int i = 0; i < kOps; ++i) {
+          selector->observe(space.clamp(ops.next()));
+          if (i % 7 == 0) selector->notify_collision(space.clamp(ops.next()));
+          if (i % 50 == 0) selector->set_density(1.0 + (i / 50) % 12);
+          sink += selector->select().value();
+        }
+      };
+      lap();  // warmup: rings and count table reach the widest window
       const std::uint64_t before = util::alloc_count();
-      batch();
-      EXPECT_LE(util::alloc_count() - before, std::uint64_t{2} * kOps)
-          << "medium transmit fanout allocated more than the payload copy "
-             "+ shared control block";
+      lap();
+      EXPECT_EQ(util::alloc_count() - before, 0u)
+          << "listening window allocated in steady state";
+      EXPECT_GT(sink, 0u);
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/random.hpp"
+#include "util/ring.hpp"
 
 namespace retri::util {
 namespace {
@@ -124,6 +125,89 @@ TEST(RandomPayload, DeterministicAndSeedSensitive) {
   EXPECT_NE(a, c);
   EXPECT_EQ(a.size(), 64u);
   EXPECT_TRUE(random_payload(0, 1).empty());
+}
+
+TEST(RandomPayload, FillMatchesRandomPayloadAndReusesTheBuffer) {
+  Bytes buffer;
+  fill_random_payload(buffer, 80, 7);
+  EXPECT_EQ(buffer, random_payload(80, 7));
+  const std::uint8_t* data = buffer.data();
+  fill_random_payload(buffer, 24, 8);
+  EXPECT_EQ(buffer, random_payload(24, 8));
+  EXPECT_EQ(buffer.data(), data);  // shrinking kept the allocation
+}
+
+TEST(FramePool, RecyclesReleasedBuffers) {
+  FramePool pool;
+  const std::uint8_t* first = nullptr;
+  {
+    SharedBytes frame = pool.acquire();
+    EXPECT_EQ(frame.use_count(), 1);
+    frame.mutable_bytes().assign(27, 0xab);
+    first = frame.bytes().data();
+  }
+  SharedBytes again = pool.acquire();
+  EXPECT_TRUE(again.empty());  // handed out cleared...
+  again.mutable_bytes().assign(27, 0xcd);
+  EXPECT_EQ(again.bytes().data(), first);  // ...with the old capacity
+}
+
+TEST(FramePool, CopyOnWriteClonesIntoThePool) {
+  FramePool pool;
+  SharedBytes original = pool.adopt(random_payload(16, 3));
+  SharedBytes alias = original;
+  EXPECT_EQ(original.use_count(), 2);
+  alias.mutable_bytes()[0] ^= 0xff;  // clones: the original stays intact
+  EXPECT_EQ(original.use_count(), 1);
+  EXPECT_EQ(alias.use_count(), 1);
+  EXPECT_EQ(original.bytes(), random_payload(16, 3));
+  EXPECT_NE(alias.bytes(), original.bytes());
+  // Both buffers go back to the pool; the next two acquisitions reuse them.
+  const std::uint8_t* a = original.bytes().data();
+  const std::uint8_t* b = alias.bytes().data();
+  original = SharedBytes();
+  alias = SharedBytes();
+  SharedBytes x = pool.acquire();
+  SharedBytes y = pool.acquire();
+  x.mutable_bytes().resize(16);
+  y.mutable_bytes().resize(16);
+  EXPECT_TRUE((x.bytes().data() == a && y.bytes().data() == b) ||
+              (x.bytes().data() == b && y.bytes().data() == a));
+}
+
+TEST(FramePool, BuffersOutliveTheirPool) {
+  // A buffer still referenced when its pool goes away (an event left in a
+  // simulator that outlives the medium) stays valid and frees itself.
+  SharedBytes survivor;
+  {
+    FramePool pool;
+    survivor = pool.adopt(random_payload(27, 4));
+    SharedBytes idle = pool.acquire();  // released back before the pool
+  }
+  EXPECT_EQ(survivor.bytes(), random_payload(27, 4));
+  SharedBytes copy = survivor;
+  copy.mutable_bytes()[0] ^= 1;  // a detached buffer clones onto the heap
+  EXPECT_EQ(survivor.bytes(), random_payload(27, 4));
+}
+
+TEST(Ring, FifoAcrossWrapAndGrowth) {
+  Ring<int> ring;
+  int next_in = 0;
+  int next_out = 0;
+  // Interleave pushes and pops so the head wraps before each growth.
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 3 + round % 5; ++i) ring.push_back(next_in++);
+    for (int i = 0; i < 2 && !ring.empty(); ++i) {
+      EXPECT_EQ(ring.front(), next_out++);
+      ring.pop_front();
+    }
+    EXPECT_EQ(ring.size(), static_cast<std::size_t>(next_in - next_out));
+  }
+  while (!ring.empty()) {
+    EXPECT_EQ(ring.front(), next_out++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
 }
 
 }  // namespace

@@ -87,6 +87,16 @@ TEST(FaultPlan, RandomPlanIsDeterministicAndAlwaysValid) {
   EXPECT_NE(random_plan(1).describe(), random_plan(2).describe());
 }
 
+/// One interception collected into a fresh vector (the medium reuses one
+/// buffer; a test wants each call's copies on their own).
+std::vector<sim::DeliveryInterceptor::Injected> intercept(
+    sim::DeliveryInterceptor& interceptor, sim::NodeId from, sim::NodeId to,
+    const util::SharedBytes& payload) {
+  std::vector<sim::DeliveryInterceptor::Injected> out;
+  interceptor.intercept(from, to, payload, out);
+  return out;
+}
+
 TEST(FaultInjector, RejectsInvalidPlan) {
   FaultPlan plan;
   plan.corrupt_prob = 2.0;
@@ -106,8 +116,8 @@ TEST(FaultInjector, DeterministicAcrossInstances) {
   const util::SharedBytes payload{util::random_payload(27, 5)};
   for (int i = 0; i < 500; ++i) {
     const auto from = static_cast<sim::NodeId>(1 + i % 3);
-    const auto copies_a = a.intercept(from, 0, payload);
-    const auto copies_b = b.intercept(from, 0, payload);
+    const auto copies_a = intercept(a, from, 0, payload);
+    const auto copies_b = intercept(b, from, 0, payload);
     ASSERT_EQ(copies_a.size(), copies_b.size());
     for (std::size_t c = 0; c < copies_a.size(); ++c) {
       EXPECT_EQ(copies_a[c].payload.bytes(), copies_b[c].payload.bytes());
@@ -126,7 +136,7 @@ TEST(FaultInjector, BurstLossConvergesToStationaryAverage) {
 
   const util::SharedBytes payload{util::random_payload(27, 9)};
   const int n = 40000;
-  for (int i = 0; i < n; ++i) (void)injector.intercept(1, 0, payload);
+  for (int i = 0; i < n; ++i) (void)intercept(injector, 1, 0, payload);
 
   const FaultStatsSnapshot& stats = injector.stats();
   EXPECT_EQ(stats.intercepted, static_cast<std::uint64_t>(n));
@@ -144,7 +154,7 @@ TEST(FaultInjector, ChainPinnedBadDropsEverything) {
   FaultInjector injector(plan, 3);
   const util::SharedBytes payload{util::random_payload(10, 2)};
   for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(injector.intercept(1, 0, payload).empty());
+    EXPECT_TRUE(intercept(injector, 1, 0, payload).empty());
   }
   EXPECT_EQ(injector.stats().dropped_burst, 50u);
 }
@@ -156,7 +166,7 @@ TEST(FaultInjector, CorruptionAlwaysChangesThePayload) {
   FaultInjector injector(plan, 11);
   const util::SharedBytes payload{util::random_payload(27, 13)};
   for (int i = 0; i < 2000; ++i) {
-    const auto copies = injector.intercept(1, 0, payload);
+    const auto copies = intercept(injector, 1, 0, payload);
     ASSERT_EQ(copies.size(), 1u);
     EXPECT_EQ(copies[0].payload.size(), payload.size());
     EXPECT_NE(copies[0].payload.bytes(), payload.bytes());
@@ -170,7 +180,7 @@ TEST(FaultInjector, TruncationAlwaysShortens) {
   FaultInjector injector(plan, 19);
   const util::SharedBytes payload{util::random_payload(27, 17)};
   for (int i = 0; i < 500; ++i) {
-    const auto copies = injector.intercept(1, 0, payload);
+    const auto copies = intercept(injector, 1, 0, payload);
     ASSERT_EQ(copies.size(), 1u);
     EXPECT_LT(copies[0].payload.size(), payload.size());
   }
@@ -185,7 +195,7 @@ TEST(FaultInjector, DuplicationBoundsAndAccounting) {
   const util::SharedBytes payload{util::random_payload(20, 19)};
   std::uint64_t copies_total = 0;
   for (int i = 0; i < 500; ++i) {
-    const auto copies = injector.intercept(1, 0, payload);
+    const auto copies = intercept(injector, 1, 0, payload);
     ASSERT_GE(copies.size(), 2u);  // duplicated delivery: original + >= 1
     ASSERT_LE(copies.size(), 4u);  // original + max_duplicates
     copies_total += copies.size();
@@ -202,7 +212,7 @@ TEST(FaultInjector, DelayIsPositiveAndBounded) {
   FaultInjector injector(plan, 29);
   const util::SharedBytes payload{util::random_payload(20, 23)};
   for (int i = 0; i < 500; ++i) {
-    const auto copies = injector.intercept(1, 0, payload);
+    const auto copies = intercept(injector, 1, 0, payload);
     ASSERT_EQ(copies.size(), 1u);
     EXPECT_GT(copies[0].extra_delay.ns(), 0);
     EXPECT_LE(copies[0].extra_delay.ns(), plan.max_delay.ns());
@@ -221,8 +231,8 @@ TEST(FaultInjector, FamiliesDrawFromIndependentStreams) {
   FaultInjector delayed(burst_and_delay, 101);
   const util::SharedBytes payload{util::random_payload(27, 31)};
   for (int i = 0; i < 2000; ++i) {
-    const bool dropped_plain = plain.intercept(1, 0, payload).empty();
-    const bool dropped_delayed = delayed.intercept(1, 0, payload).empty();
+    const bool dropped_plain = intercept(plain, 1, 0, payload).empty();
+    const bool dropped_delayed = intercept(delayed, 1, 0, payload).empty();
     ASSERT_EQ(dropped_plain, dropped_delayed) << "diverged at delivery " << i;
   }
   EXPECT_EQ(plain.stats().dropped_burst, delayed.stats().dropped_burst);

@@ -234,6 +234,17 @@ TEST(LintRules, NodeContainersBannedUnderAffOnly) {
     EXPECT_TRUE(has_violation(scan("src/aff/reassembler.hpp", body),
                               "no-node-containers-aff"))
         << decl;
+    // The listening window is held to the same flat storage.
+    EXPECT_TRUE(has_violation(scan("src/core/selector.hpp", body),
+                              "no-node-containers-aff"))
+        << decl;
+    EXPECT_TRUE(has_violation(scan("src/core/selector.cpp", body),
+                              "no-node-containers-aff"))
+        << decl;
+    // The rest of src/core is not in scope.
+    EXPECT_FALSE(has_violation(scan("src/core/density.hpp", body),
+                               "no-node-containers-aff"))
+        << decl;
     // Tests keep the node containers as the reassembler's reference
     // model, and other layers are free to use them.
     EXPECT_FALSE(has_violation(scan("tests/test_reassembler.cpp", body),

@@ -198,28 +198,21 @@ class ScriptedInterceptor final : public DeliveryInterceptor {
   Mode mode = Mode::kPass;
   Duration delay = Duration::milliseconds(5);
 
-  std::vector<Injected> intercept(NodeId, NodeId,
-                                  const util::SharedBytes& payload) override {
+  void intercept(NodeId, NodeId, const util::SharedBytes& payload,
+                 std::vector<Injected>& out) override {
     switch (mode) {
       case Mode::kDrop:
-        return {};
-      case Mode::kTriplicate: {
-        std::vector<Injected> copies(3);
-        for (auto& copy : copies) copy.payload = payload;
-        return copies;
-      }
-      case Mode::kDelay: {
-        Injected copy;
-        copy.payload = payload;
-        copy.extra_delay = delay;
-        return {std::move(copy)};
-      }
+        return;
+      case Mode::kTriplicate:
+        for (int i = 0; i < 3; ++i) out.push_back({payload});
+        return;
+      case Mode::kDelay:
+        out.push_back({payload, delay});
+        return;
       case Mode::kPass:
         break;
     }
-    Injected copy;
-    copy.payload = payload;
-    return {std::move(copy)};
+    out.push_back({payload});
   }
 };
 
@@ -259,6 +252,40 @@ TEST_F(MediumTest, InterceptorDuplicationCountsExtraDeliveries) {
             stats.delivered + stats.lost_random + stats.lost_rf_collision +
                 stats.lost_half_duplex + stats.lost_disabled +
                 stats.lost_fault);
+}
+
+// A handler that fires the next event from inside a delivery re-enters
+// the interceptor path: the nested delivery appends its copies past the
+// ones still being dispatched (growing the medium's buffer) and shrinks
+// it back, so the outer delivery's remaining copies arrive intact.
+TEST_F(MediumTest, ReentrantInterceptedDeliveryKeepsItsCopies) {
+  BroadcastMedium medium(sim, Topology::full_mesh(3), {}, 1);
+  ScriptedInterceptor interceptor;
+  interceptor.mode = ScriptedInterceptor::Mode::kTriplicate;
+  medium.set_interceptor(&interceptor);
+  std::vector<Rx> rx1;
+  bool nested = false;
+  medium.attach(1, [&](NodeId from, const util::Bytes& p) {
+    rx1.push_back({from, p});
+    if (!nested) {
+      nested = true;
+      EXPECT_TRUE(sim.step());  // node 2's broadcast, same arrival time
+    }
+  });
+
+  medium.transmit(0, {0x01, 0x02, 0x03}, Duration::milliseconds(1));
+  medium.transmit(2, {0x04}, Duration::milliseconds(1));
+  sim.run();
+  const std::vector<Rx> expected = {
+      {0, {0x01, 0x02, 0x03}}, {2, {0x04}}, {2, {0x04}},
+      {2, {0x04}},             {0, {0x01, 0x02, 0x03}},
+      {0, {0x01, 0x02, 0x03}}};
+  ASSERT_EQ(rx1.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(rx1[i].from, expected[i].from) << "delivery " << i;
+    EXPECT_EQ(rx1[i].payload, expected[i].payload) << "delivery " << i;
+  }
+  EXPECT_EQ(medium.stats().fault_extra_deliveries, 2u * 2u * 2u);
 }
 
 TEST_F(MediumTest, InterceptorDelayDefersDelivery) {

@@ -163,12 +163,13 @@ std::vector<Rule> make_default_rules() {
       R"(\bstd::list\b|\bstd::unordered_map\b|\bstd::vector\s*<\s*bool\s*>)",
       {},
       {},
-      "the AFF receive path runs on a slab reassembler (DESIGN.md §5e): "
-      "recycled entry slots, word-wide coverage bitmaps, an intrusive LRU "
-      "and an open-addressing index; std::list, std::unordered_map and "
-      "std::vector<bool> under src/aff bring back a heap node per "
-      "transaction — tests may still use them as a reference model",
-      {"src/aff/"}});
+      "the AFF receive path runs on a slab reassembler (DESIGN.md §5e) "
+      "and the listening window on rings, a flat count table and a "
+      "bitmap (§5k); std::list, std::unordered_map and std::vector<bool> "
+      "under src/aff or in src/core/selector bring back a heap node per "
+      "transaction or per heard id — tests may still use them as a "
+      "reference model",
+      {"src/aff/", "src/core/selector"}});
 
   rules.push_back(Rule{
       "no-adhoc-counter",
